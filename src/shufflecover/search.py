@@ -5,22 +5,45 @@ monochromatic K_{p,p} exists exactly when the grid has a rectangle cover in
 which every rectangle's thin side is at most p-1 and every row and column
 lies in at most m rectangles.  The search runs over that cover space:
 depth-first, branching on the lexicographically first uncovered cell,
-enumerating candidate rectangles through it in a fixed thin-side-first
-order.
+trying the candidate rectangles through it thinnest first, then largest.
 
-Pruning is dominance-based and provably complete: rows above the branching
-row are fully covered, so candidate rectangles never include them; rows and
-columns contributing no uncovered cell are dropped; lines with exhausted
-budget but uncovered cells kill the node; failed states are memoized.
+Pruning is dominance-based and provably complete.  A candidate never
+includes a row above the branching row (those rows are covered), and each
+of its lines brings an uncovered cell (shrinking a cover's rectangle to such
+lines leaves a cover).  On top of that:
+
+* Thin side first: under at most p-1 rows any columns are taken, otherwise
+  only column sets of at most p-1 are drawn; these are exactly the
+  rectangles the thin-side bound allows, so none is lost.
+* Dead children are dropped as candidates are built: a rectangle that uses
+  the last of a line's m slots while that line keeps an uncovered cell can
+  never be completed, since no later rectangle may touch that line.  Each
+  dropped child still counts as one node and one ``dead_line`` prune.
+* Failed states are memoized under one int: the covered cells plus the use
+  counts of lines that still have an uncovered cell.  No candidate touches
+  a covered line again, so its count cannot change the outcome.
+* Symmetry is broken (after Crawford, Ginsberg, Luks & Roy, KR 1996).
+  Two open lines with the same uncovered cells and the same use count are
+  interchangeable: swapping them maps the state to itself, so from each
+  class of such lines a candidate takes only a prefix, lowest index first.
+  On the empty grid that leaves [0, a) x [0, b), and since transposing maps
+  the empty grid to itself, only a <= b is tried there.
+
 Verdicts are SAT (with a certificate cover), UNSAT (search space exhausted),
 or INCONCLUSIVE (timeout or node budget hit; never reported as UNSAT).
 
-Practical envelope: n <= 4 is instant, n = 5 takes seconds per cell, n = 6
-can take minutes on adversarial cells.  ``workers > 1`` splits the root
-candidates across processes; verdicts match the single-worker run whenever
-no time or node budget binds (each worker enforces the budgets on its own
-subtree, so which cells come back INCONCLUSIVE under a binding budget can
-depend on scheduling).
+Practical envelope, measured with ``bench/run.py`` in reference seconds
+(see bench/README.md): the 150 cells of ``table --n-max 5`` take 0.076 s
+in all, (5,3,2) being an UNSAT proof of 4,089 nodes.  On the ``hot_cells``
+workload (6,2,3) and (6,3,2) are UNSAT in 1,232 and 13,881 nodes, the
+three SAT cells take under 3,000 nodes each, and (6,4,2), (7,3,3) and
+(7,5,2) still hit their 12 s budget, 36.2 s for the whole pass.
+
+``workers > 1`` splits the root candidates across processes under one
+wall-clock deadline; verdicts match the single-worker run whenever no
+budget binds (the node budget applies to each subtree on its own, so
+which cells come back INCONCLUSIVE under a binding budget can depend on
+scheduling).
 """
 
 from __future__ import annotations
@@ -29,11 +52,16 @@ import time
 from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterator
 
 from .core import Rectangle, RectangleCover, avoidance_threshold, guaranteed_p
 
-_MEMO_CAP = 4_000_000
+# Failed states are kept in two generations of up to this many keys each:
+# when the young one fills, it becomes the old one and the previous old one
+# is dropped.  That bounds the memo at 2 x 2^16 packed ints, about 10 MB,
+# however long a search runs; a dropped state only costs a re-search.
+_MEMO_GENERATION = 1 << 16
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -89,6 +117,23 @@ class _Abort(Exception):
         self.reason = reason
 
 
+def _classes(keyed_lines) -> list[list[int]]:
+    """Group (key, line) pairs by key; each class lists its lines in the
+    order given."""
+    classes: dict = {}
+    for key, line in keyed_lines:
+        classes.setdefault(key, []).append(line)
+    return list(classes.values())
+
+
+def _prefixes(classes: list[list[int]], low: int, high: int) -> Iterator[tuple[int, ...]]:
+    """Every union of one prefix from each class with between ``low`` and
+    ``high`` lines in all, as a sorted tuple."""
+    for lengths in product(*(range(len(cls) + 1) for cls in classes)):
+        if low <= sum(lengths) <= high:
+            yield tuple(sorted(x for cls, k in zip(classes, lengths) for x in cls[:k]))
+
+
 class _Searcher:
     def __init__(self, n: int, m: int, p: int, deadline: float | None, node_limit: int | None):
         self.n = n
@@ -99,11 +144,13 @@ class _Searcher:
         self.col_mask = [
             sum(1 << (r * n + c) for r in range(n)) for c in range(n)
         ]
+        self.key_width = (m - 1).bit_length()
         self.deadline = deadline
         self.node_limit = node_limit
         self.nodes = 0
         self.prunes: Counter[str] = Counter()
-        self.memo: set[tuple[int, bytes, bytes]] = set()
+        self.memo: set[int] = set()
+        self.old_memo: set[int] = set()
         self.witness: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
 
     # -- candidate enumeration ------------------------------------------
@@ -111,66 +158,98 @@ class _Searcher:
     def candidates(
         self, covered: int, row_used: list[int], col_used: list[int]
     ) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-        """All dominance-canonical rectangles through the first uncovered
-        cell, as (rows, cols, cell_mask), thin-side-first."""
+        """All live canonical rectangles through the first uncovered cell,
+        as (rows, cols, cell_mask), thin-side-first.
+
+        The state must be live: every line with an uncovered cell has a use
+        left.  A child that would leave a line with no use left and an
+        uncovered cell is dead; it is dropped here and counted as one node
+        and one ``dead_line`` prune."""
         n, m, thin_cap = self.n, self.m, self.p - 1
+        row_mask, col_mask = self.row_mask, self.col_mask
         uncov = ~covered & self.full
-        idx = (uncov & -uncov).bit_length() - 1
-        r0, c0 = divmod(idx, n)
-        extra_rows = [
-            r
+        r0, c0 = divmod((uncov & -uncov).bit_length() - 1, n)
+        # Rows above r0 are covered, and a line joins only if it brings an
+        # uncovered cell.  Lines with the same uncovered cells and the same
+        # use count are interchangeable: swapping two of them maps the state
+        # to itself.  So from each class of them a candidate takes a prefix,
+        # lowest index first (r0 and c0 are the lowest of their classes).
+        row_classes = _classes(
+            (((uncov & row_mask[r]) >> (r * n), row_used[r]), r)
             for r in range(r0 + 1, n)
-            if row_used[r] < m and uncov & self.row_mask[r]
-        ]
-        budget_cols = [c for c in range(n) if c != c0 and col_used[c] < m]
-        out = []
-        for row_bits in range(1 << len(extra_rows)):
-            rows = [r0]
-            bits = row_bits
-            i = 0
-            while bits:
-                if bits & 1:
-                    rows.append(extra_rows[i])
-                bits >>= 1
-                i += 1
-            rows_mask = 0
-            for r in rows:
-                rows_mask |= self.row_mask[r]
-            useful_cols = [
-                c for c in budget_cols if uncov & self.col_mask[c] & rows_mask
-            ]
-            for col_bits in range(1 << len(useful_cols)):
-                cols = [c0]
-                bits = col_bits
-                i = 0
-                while bits:
-                    if bits & 1:
-                        cols.append(useful_cols[i])
-                    bits >>= 1
-                    i += 1
-                if min(len(rows), len(cols)) > thin_cap:
-                    continue
-                cols_bits_row = 0
-                for c in cols:
-                    cols_bits_row |= 1 << c
-                cell_mask = 0
-                for r in rows:
-                    cell_mask |= cols_bits_row << (r * n)
-                # mutual usefulness: every extra line must bring a new cell
-                if any(not uncov & self.row_mask[r] & cell_mask for r in rows if r != r0):
-                    continue
-                if any(not uncov & self.col_mask[c] & cell_mask for c in cols if c != c0):
-                    continue
-                out.append((tuple(sorted(rows)), tuple(sorted(cols)), cell_mask))
-        out.sort(
-            key=lambda cand: (
-                min(len(cand[0]), len(cand[1])),
-                -len(cand[0]) * len(cand[1]),
-                cand[0],
-                cand[1],
-            )
+            if uncov & row_mask[r]
         )
-        return out
+        col_classes = _classes(
+            (((uncov & col_mask[c]) >> c, col_used[c]), c)
+            for c in range(n)
+            if c != c0 and uncov & col_mask[c]
+        )
+        # (rows, columns other than c0, rows_mask, cols_mask)
+        found = []
+        # rows are the thin side: at most p-1 of them, any columns
+        for extra in _prefixes(row_classes, 0, thin_cap - 1):
+            rows_mask = row_mask[r0]
+            for r in extra:
+                rows_mask |= row_mask[r]
+            live = uncov & rows_mask
+            useful = [cls for cls in col_classes if live & col_mask[cls[0]]]
+            for ecols in _prefixes(useful, 0, n):
+                cols_mask = col_mask[c0]
+                for c in ecols:
+                    cols_mask |= col_mask[c]
+                new = live & cols_mask
+                if all(new & row_mask[r] for r in extra):
+                    found.append(((r0,) + extra, ecols, rows_mask, cols_mask))
+        # columns are the thin side under more than p-1 rows
+        for ecols in _prefixes(col_classes, 0, thin_cap - 1):
+            cols_mask = col_mask[c0]
+            for c in ecols:
+                cols_mask |= col_mask[c]
+            live = uncov & cols_mask
+            useful = [cls for cls in row_classes if live & row_mask[cls[0]]]
+            for extra in _prefixes(useful, thin_cap, n):
+                rows_mask = row_mask[r0]
+                for r in extra:
+                    rows_mask |= row_mask[r]
+                new = live & rows_mask
+                if all(new & col_mask[c] for c in ecols):
+                    found.append(((r0,) + extra, ecols, rows_mask, cols_mask))
+        last_rows = sum(row_mask[r] for r in range(r0, n) if row_used[r] == m - 1)
+        last_cols = sum(col_mask[c] for c in range(n) if col_used[c] == m - 1)
+        if not covered:
+            # Every candidate on the empty grid is some [0, a) x [0, b), and
+            # transposing maps the empty grid to itself, so a <= b suffices.
+            found = [cand for cand in found if len(cand[0]) <= len(cand[1]) + 1]
+        out = []
+        for rows, ecols, rows_mask, cols_mask in found:
+            cell_mask = rows_mask & cols_mask
+            # a line on its last use must be covered in full
+            if uncov & ~cell_mask & (rows_mask & last_rows | cols_mask & last_cols):
+                continue
+            cols = tuple(sorted((c0,) + ecols))
+            out.append((min(len(rows), len(cols)), -len(rows) * len(cols), rows, cols, cell_mask))
+        dead = len(found) - len(out)
+        if dead:
+            self.nodes += dead
+            self.prunes["dead_line"] += dead
+        out.sort()
+        return [(rows, cols, cell_mask) for _, _, rows, cols, cell_mask in out]
+
+    def memo_key(self, covered: int, row_used: list[int], col_used: list[int]) -> int:
+        """``covered`` with the use count of every open line packed above
+        bit n*n, in fields wide enough for m-1 (an open line of a live state
+        has a use left); lines with no uncovered cell count as 0, because no
+        candidate can touch them again."""
+        uncov = ~covered & self.full
+        key = covered
+        shift = self.n * self.n
+        width = self.key_width
+        for masks, used in ((self.row_mask, row_used), (self.col_mask, col_used)):
+            for mask, count in zip(masks, used):
+                if uncov & mask:
+                    key |= count << shift
+                shift += width
+        return key
 
     # -- depth-first search ---------------------------------------------
 
@@ -189,25 +268,13 @@ class _Searcher:
         if covered == self.full:
             self.witness = list(chosen)
             return True
-        uncov = ~covered & self.full
-        for r in range(self.n):
-            if row_used[r] == self.m and uncov & self.row_mask[r]:
-                self.prunes["dead_line"] += 1
-                return False
-        for c in range(self.n):
-            if col_used[c] == self.m and uncov & self.col_mask[c]:
-                self.prunes["dead_line"] += 1
-                return False
-        key = (covered, bytes(row_used), bytes(col_used))
-        if key in self.memo:
+        key = self.memo_key(covered, row_used, col_used)
+        if key in self.memo or key in self.old_memo:
             self.prunes["memo"] += 1
             return False
         cands = self.candidates(covered, row_used, col_used)
         if not cands:
             self.prunes["no_candidates"] += 1
-            if len(self.memo) < _MEMO_CAP:
-                self.memo.add(key)
-            return False
         for rows, cols, cell_mask in cands:
             for r in rows:
                 row_used[r] += 1
@@ -221,8 +288,9 @@ class _Searcher:
                 row_used[r] -= 1
             for c in cols:
                 col_used[c] -= 1
-        if len(self.memo) < _MEMO_CAP:
-            self.memo.add(key)
+        self.memo.add(key)
+        if len(self.memo) >= _MEMO_GENERATION:
+            self.old_memo, self.memo = self.memo, set()
         return False
 
 
@@ -241,12 +309,12 @@ def _run_rooted(
     n: int,
     m: int,
     p: int,
-    timeout: float | None,
+    deadline: float | None,
     node_limit: int | None,
     root: tuple[tuple[int, ...], tuple[int, ...], int] | None,
 ) -> tuple[str, list | None, int, dict[str, int]]:
-    """Run one (sub)search; root, if given, is a first rectangle to apply."""
-    deadline = time.monotonic() + timeout if timeout is not None else None
+    """Run one (sub)search until the absolute ``time.monotonic()``
+    deadline; root, if given, is a first rectangle to apply."""
     searcher = _Searcher(n, m, p, deadline, node_limit)
     covered = 0
     row_used = [0] * n
@@ -286,9 +354,10 @@ def search_avoiding(params: SearchParams, workers: int = 1) -> SearchOutcome:
         raise ValueError("workers must be positive")
     n, m, p = params.n, params.m, params.p
     start = time.monotonic()
+    deadline = start + params.timeout if params.timeout is not None else None
     if workers == 1:
         verdict, rects, nodes, prunes = _run_rooted(
-            n, m, p, params.timeout, params.node_limit, None
+            n, m, p, deadline, params.node_limit, None
         )
         millis = (time.monotonic() - start) * 1000.0
         witness = _witness_cover(n, rects) if rects is not None else None
@@ -296,14 +365,14 @@ def search_avoiding(params: SearchParams, workers: int = 1) -> SearchOutcome:
 
     scout = _Searcher(n, m, p, None, None)
     roots = scout.candidates(0, [0] * n, [0] * n)
+    nodes_total = 1 + scout.nodes
+    prunes_total = scout.prunes
     if not roots:
+        prunes_total["no_candidates"] += 1
         millis = (time.monotonic() - start) * 1000.0
-        return SearchOutcome(UNSAT, None, SearchStats(1, {"no_candidates": 1}, millis))
-    remaining = params.timeout
-    tasks = [(n, m, p, remaining, params.node_limit, root) for root in roots]
+        return SearchOutcome(UNSAT, None, SearchStats(nodes_total, dict(prunes_total), millis))
+    tasks = [(n, m, p, deadline, params.node_limit, root) for root in roots]
     verdicts: list[str] = []
-    nodes_total = 1
-    prunes_total: Counter[str] = Counter()
     witness = None
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending = {pool.submit(_subtree_task, task) for task in tasks}

@@ -4,6 +4,8 @@ import io
 import json
 import subprocess
 import sys
+import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -224,8 +226,14 @@ def test_module_entry_point_pipe():
 
 
 def test_console_script_detect():
+    # run the [project.scripts] target the way an installed wrapper would,
+    # so the test needs no pip install
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["shufflecover"]
+    module, func = target.split(":")
+    wrapper = f"from {module} import {func}; {func}()"
     det = subprocess.run(
-        ["shufflecover", "detect", "--p", "2", "--mode", "brute", "--in", "-"],
+        [sys.executable, "-c", wrapper, "detect", "--p", "2", "--mode", "brute", "--in", "-"],
         input=GOLDEN_TEXT, capture_output=True, text=True,
     )
     assert det.returncode == 0 and det.stdout.strip() == "none"

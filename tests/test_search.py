@@ -2,8 +2,14 @@
 
 Verdicts for small cells are pinned against the closed-form regimes:
 guaranteed cells must exhaust to UNSAT, avoidable cells must produce a
-certificate, and the open cell (4, 3, 2) is known SAT.
+certificate, and the open cell (4, 3, 2) is known SAT.  The whole n <= 5
+table is pinned verdict by verdict, so a prune that loses a cover shows.
 """
+
+import random
+import time
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -23,6 +29,37 @@ from shufflecover import (
     table_row_csv,
     threshold_table,
 )
+from shufflecover.search import _Searcher
+
+
+# threshold_table(5) verdicts for p = 1..6, by (n, m); S = SAT, U = UNSAT
+N5_VERDICTS = {
+    (1, 1): "USSSSS",
+    (1, 2): "USSSSS",
+    (1, 3): "USSSSS",
+    (1, 4): "USSSSS",
+    (1, 5): "USSSSS",
+    (2, 1): "UUSSSS",
+    (2, 2): "USSSSS",
+    (2, 3): "USSSSS",
+    (2, 4): "USSSSS",
+    (2, 5): "USSSSS",
+    (3, 1): "UUUSSS",
+    (3, 2): "UUSSSS",
+    (3, 3): "USSSSS",
+    (3, 4): "USSSSS",
+    (3, 5): "USSSSS",
+    (4, 1): "UUUUSS",
+    (4, 2): "UUSSSS",
+    (4, 3): "USSSSS",
+    (4, 4): "USSSSS",
+    (4, 5): "USSSSS",
+    (5, 1): "UUUUUS",
+    (5, 2): "UUUSSS",
+    (5, 3): "UUSSSS",
+    (5, 4): "USSSSS",
+    (5, 5): "USSSSS",
+}
 
 
 def run(n, m, p, **kw):
@@ -112,6 +149,15 @@ def test_multi_worker_same_verdicts():
             assert_certificate(out, n, m, p)
 
 
+def test_multi_worker_timeout_is_total():
+    # one deadline for the whole run, not a fresh clock per root subtree;
+    # (6, 4, 2) runs far past 1 s in every root subtree
+    start = time.monotonic()
+    out = search_avoiding(SearchParams(6, 4, 2, timeout=1.0), workers=2)
+    assert time.monotonic() - start < 10
+    assert out.verdict == INCONCLUSIVE
+
+
 def test_sat_verdicts_monotone_in_m():
     # more colors per line never hurts: SAT at m implies SAT at m+1
     for n in (3, 4):
@@ -137,6 +183,114 @@ def test_threshold_table_matches_regimes():
             assert row.verdict == SAT
         else:
             assert row.verdict in (SAT, UNSAT)
+
+
+def test_n5_verdict_table_pinned():
+    assert len(N5_VERDICTS) * 6 == 150
+    for (n, m), verdicts in N5_VERDICTS.items():
+        for p, letter in enumerate(verdicts, start=1):
+            out = run(n, m, p)
+            assert out.verdict == {"S": SAT, "U": UNSAT}[letter], (n, m, p)
+            if out.verdict == SAT:
+                assert_certificate(out, n, m, p)
+
+
+def _subsets_with(first, others):
+    for k in range(len(others) + 1):
+        for extra in combinations(others, k):
+            yield tuple(sorted((first,) + extra))
+
+
+def reference_candidates(n, m, p, covered, row_used, col_used):
+    """Every rectangle through the first uncovered cell whose thin side is
+    at most p-1 and whose every line brings an uncovered cell, by brute
+    force and without symmetry breaking, split into (live, dead)."""
+    holes = {(r, c) for r in range(n) for c in range(n) if not covered >> (r * n + c) & 1}
+    r0, c0 = min(holes)
+    open_rows = sorted({r for r, _ in holes} - {r0})
+    open_cols = sorted({c for _, c in holes} - {c0})
+    live, dead = [], []
+    for rows in _subsets_with(r0, open_rows):
+        for cols in _subsets_with(c0, open_cols):
+            if min(len(rows), len(cols)) > p - 1:
+                continue
+            new = {(r, c) for r in rows for c in cols} & holes
+            if any(not any(r == x for x, _ in new) for r in rows):
+                continue
+            if any(not any(c == y for _, y in new) for c in cols):
+                continue
+            rest = holes - new
+            if any(row_used[r] + 1 == m and any(x == r for x, _ in rest) for r in rows) or any(
+                col_used[c] + 1 == m and any(y == c for _, y in rest) for c in cols
+            ):
+                dead.append((rows, cols))
+            else:
+                live.append((rows, cols))
+    return live, dead
+
+
+def canonical(rect, n, covered, row_used, col_used):
+    """The rectangle with each class of interchangeable lines (same
+    uncovered cells, same use count) replaced by its lowest members, and
+    transposed to rows <= cols on the empty grid."""
+    rows, cols = rect
+    if not covered and len(rows) > len(cols):
+        rows, cols = cols, rows
+
+    def squeeze(lines, key):
+        out = []
+        for k, count in Counter(map(key, lines)).items():
+            out += [y for y in range(n) if key(y) == k][:count]
+        return tuple(sorted(out))
+
+    def row_key(r):
+        return tuple(not covered >> (r * n + c) & 1 for c in range(n)), row_used[r]
+
+    def col_key(c):
+        return tuple(not covered >> (r * n + c) & 1 for r in range(n)), col_used[c]
+
+    return squeeze(rows, row_key), squeeze(cols, col_key)
+
+
+def test_candidates_match_brute_force_up_to_symmetry():
+    # random walks through the cover space; at every state the generator
+    # must return exactly one representative of each class of equivalent
+    # live rectangles, sorted thin side first, then by area, and count one
+    # dead_line node per class of equivalent dead ones
+    rng = random.Random(20240601)
+    states = 0
+    while states < 300:
+        n, m, p = rng.randint(2, 5), rng.randint(1, 3), rng.randint(2, 4)
+        covered, row_used, col_used = 0, [0] * n, [0] * n
+        while covered != (1 << (n * n)) - 1:
+            searcher = _Searcher(n, m, p, None, None)
+            got = searcher.candidates(covered, row_used, col_used)
+            ref, dead = reference_candidates(n, m, p, covered, row_used, col_used)
+            want = {canonical(rect, n, covered, row_used, col_used) for rect in ref}
+            assert [(rows, cols) for rows, cols, _ in got] == sorted(
+                want, key=lambda rc: (min(map(len, rc)), -len(rc[0]) * len(rc[1]), rc)
+            ), (n, m, p, covered, row_used, col_used)
+            dead_classes = {canonical(rect, n, covered, row_used, col_used) for rect in dead}
+            assert searcher.nodes == searcher.prunes["dead_line"] == len(dead_classes)
+            states += 1
+            if not ref:
+                break
+            rows, cols = rng.choice(ref)
+            for r in rows:
+                row_used[r] += 1
+                for c in cols:
+                    covered |= 1 << (r * n + c)
+            for c in cols:
+                col_used[c] += 1
+
+
+def test_memo_key_ignores_covered_lines_only():
+    searcher = _Searcher(3, 3, 2, None, None)
+    row0 = 0b111  # row 0 covered; every column still open
+    key = searcher.memo_key(row0, [1, 0, 0], [1, 1, 1])
+    assert key == searcher.memo_key(row0, [2, 0, 0], [1, 1, 1])
+    assert key != searcher.memo_key(row0, [1, 1, 0], [1, 1, 1])
+    assert key != searcher.memo_key(row0, [1, 0, 0], [2, 1, 1])
 
 
 def test_table_row_csv_shape():
