@@ -241,14 +241,6 @@ class KPartiteCover:
         canon.sort(key=lambda e: (e[0], e[1]))
         object.__setattr__(self, "pairs", tuple(canon))
 
-    def rectangles_between(self, a: int, b: int) -> tuple[Rectangle, ...]:
-        if a > b:
-            raise ValueError("pairs are stored with a < b")
-        for pa, pb, rects in self.pairs:
-            if (pa, pb) == (a, b):
-                return rects
-        return ()
-
     def colors(self) -> set[int]:
         return {r.color for _, _, rects in self.pairs for r in rects}
 
@@ -292,19 +284,25 @@ class KPartiteCoverageViolation:
 # validators and conversions
 
 
-def validate_shuffle_preserved(matrix: ColorMatrix) -> ShuffleViolation | None:
-    """Check the swap property; return None if it holds.
-
-    On failure returns a :class:`ShuffleViolation` whose four edges re-check
-    against the matrix: (u, v) and (u_prime, v_prime) carry the color,
-    (u, v_prime) does not.
-    """
+def _color_spans(matrix: ColorMatrix) -> dict[int, tuple[set[int], set[int]]]:
+    """Rows and columns each color occupies: its rectangle, if the matrix is
+    shuffle-preserved."""
     spans: dict[int, tuple[set[int], set[int]]] = {}
     for r, row in enumerate(matrix.cells):
         for c, color in enumerate(row):
             rows, cols = spans.setdefault(color, (set(), set()))
             rows.add(r)
             cols.add(c)
+    return spans
+
+
+def _span_violation(
+    matrix: ColorMatrix, spans: dict[int, tuple[set[int], set[int]]]
+) -> ShuffleViolation | None:
+    # Every cell lies in its own color's span, so the span areas sum to the
+    # cell count exactly when no span holds a cell of another color.
+    if sum(len(rows) * len(cols) for rows, cols in spans.values()) == matrix.n_rows * matrix.n_cols:
+        return None
     for color in sorted(spans):
         rows, cols = spans[color]
         for r in sorted(rows):
@@ -319,21 +317,26 @@ def validate_shuffle_preserved(matrix: ColorMatrix) -> ShuffleViolation | None:
     return None
 
 
+def validate_shuffle_preserved(matrix: ColorMatrix) -> ShuffleViolation | None:
+    """Check the swap property; return None if it holds.
+
+    On failure returns a :class:`ShuffleViolation` whose four edges re-check
+    against the matrix: (u, v) and (u_prime, v_prime) carry the color,
+    (u, v_prime) does not.
+    """
+    return _span_violation(matrix, _color_spans(matrix))
+
+
 def matrix_to_rectangles(matrix: ColorMatrix) -> RectangleCover:
     """Convert a shuffle-preserved matrix to its rectangle cover.
 
     Raises :class:`NotShufflePreserved` (carrying the violation) otherwise.
     Rectangles come out sorted by color id.
     """
-    violation = validate_shuffle_preserved(matrix)
+    spans = _color_spans(matrix)
+    violation = _span_violation(matrix, spans)
     if violation is not None:
         raise NotShufflePreserved(violation)
-    spans: dict[int, tuple[set[int], set[int]]] = {}
-    for r, row in enumerate(matrix.cells):
-        for c, color in enumerate(row):
-            rows, cols = spans.setdefault(color, (set(), set()))
-            rows.add(r)
-            cols.add(c)
     rects = tuple(
         Rectangle(color=color, rows=frozenset(spans[color][0]), cols=frozenset(spans[color][1]))
         for color in sorted(spans)

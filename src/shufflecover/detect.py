@@ -3,9 +3,9 @@
 The fast bipartite detector reads witnesses straight off rectangle sides;
 the brute-force detector enumerates row subsets over column bitmasks with
 no structural assumptions and serves as the oracle the fast path is checked
-against.  The k-partite detector follows the inductive argument for
-2-colorings literally: strip a part, recurse, pigeonhole two same-colored
-sub-witnesses, and merge through the touched sets.
+against.  The k-partite detector scans each color's touched sets: on a
+validated input every color class is complete multipartite on the vertices
+it touches, so a color with p touched vertices in every part is a witness.
 
 Superimposed cliques: given one clique of vertices per color on a shared
 vertex set, a t-subset of colors is *t-superimposed* on the intersection of
@@ -216,67 +216,17 @@ def verify_biclique_witness(graph: BruteInput, witness: Witness, p: int) -> bool
 # k-partite detection
 
 
-def _restrict(cover: KPartiteCover, drop: int) -> KPartiteCover:
-    """Remove one part and relabel the rest, preserving order."""
-    relabel = {old: new for new, old in enumerate(i for i in range(cover.k) if i != drop)}
-    pairs = tuple(
-        (relabel[a], relabel[b], rects)
-        for a, b, rects in cover.pairs
-        if a != drop and b != drop
-    )
-    return KPartiteCover(k=cover.k - 1, n=cover.n, pairs=pairs)
-
-
-def _mono_kpartite(cover: KPartiteCover, p: int) -> KPartiteWitness | None:
-    if cover.k == 2:
-        by_color: dict[int, tuple[set[int], set[int]]] = {}
-        for rect in cover.rectangles_between(0, 1):
-            rows, cols = by_color.setdefault(rect.color, (set(), set()))
-            rows.update(rect.rows)
-            cols.update(rect.cols)
-        for color in sorted(by_color):
-            rows, cols = by_color[color]
-            if len(rows) >= p and len(cols) >= p:
-                return KPartiteWitness(
-                    color=color,
-                    parts=(frozenset(sorted(rows)[:p]), frozenset(sorted(cols)[:p])),
-                )
-        return None
-
-    sub_witnesses: list[KPartiteWitness] = []
-    for drop in range(cover.k):
-        w = _mono_kpartite(_restrict(cover, drop), p)
-        if w is None:
-            return None
-        sub_witnesses.append(w)
-    # k >= 3 witnesses, 2 colors: some two dropped parts share a color.
-    color = None
-    for i in range(cover.k):
-        for j in range(i + 1, cover.k):
-            if sub_witnesses[i].color == sub_witnesses[j].color:
-                color = sub_witnesses[i].color
-                break
-        if color is not None:
-            break
-    assert color is not None
-    touched = cover.touched_sets(color)
-    if any(len(t) < p for t in touched):
-        raise RuntimeError("touched sets shrank below p on validated input")
-    return KPartiteWitness(
-        color=color, parts=tuple(frozenset(sorted(t)[:p]) for t in touched)
-    )
-
-
 def find_mono_kpartite(cover: KPartiteCover, p: int) -> KPartiteWitness | None:
     """Monochromatic complete k-partite subgraph with p vertices per part,
     for complete shuffle-preserved 2-colorings.
 
-    Strips one part at a time, recurses down to the bipartite base (a
-    rectangle-side scan), then pigeonholes two same-colored sub-witnesses;
-    the swap property turns their union into p touched vertices in every
-    part.  Guaranteed to succeed when 2(p-1) < n; may return None above
-    that.  Raises :class:`NotTwoColored` or :class:`NotShufflePreserved`
-    (also used for incomplete coverage) on bad input.
+    Scans colors in ascending order for one that touches at least p
+    vertices in every part, and returns its lowest p per part.  The scan is
+    exact because a validated color carries every edge between its touched
+    sets, so each color class is complete multipartite on what it touches.
+    Guaranteed to succeed when 2(p-1) < n; may return None above that.
+    Raises :class:`NotTwoColored` or :class:`NotShufflePreserved` (also used
+    for incomplete coverage) on bad input.
     """
     if p < 1:
         raise ValueError("p must be positive")
@@ -291,7 +241,13 @@ def find_mono_kpartite(cover: KPartiteCover, p: int) -> KPartiteWitness | None:
         raise NotShufflePreserved(gap)  # type: ignore[arg-type]
     if p > cover.n:
         return None
-    return _mono_kpartite(cover, p)
+    for color in sorted(colors):
+        touched = cover.touched_sets(color)
+        if all(len(t) >= p for t in touched):
+            return KPartiteWitness(
+                color=color, parts=tuple(frozenset(sorted(t)[:p]) for t in touched)
+            )
+    return None
 
 
 def find_mono_kpartite_brute(

@@ -7,22 +7,11 @@ violations and witnesses carry a ``kind`` discriminator.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
-from .core import (
-    ColorMatrix,
-    CoverageViolation,
-    KPartiteCover,
-    KPartiteCoverageViolation,
-    KPartiteShuffleViolation,
-    KPartiteWitness,
-    LocalityViolation,
-    Rectangle,
-    RectangleCover,
-    ShuffleViolation,
-    Witness,
-)
+from .core import ColorMatrix, KPartiteCover, Rectangle, RectangleCover
 
 
 class FormatError(ValueError):
@@ -161,69 +150,22 @@ def clique_family_from_obj(obj: Any) -> "CliqueFamily":
         raise FormatError(f"bad clique family: {exc}") from exc
 
 
-def violation_to_obj(violation: Any) -> dict[str, Any]:
-    if isinstance(violation, ShuffleViolation):
-        return {
-            "kind": "shuffle",
-            "u": violation.u,
-            "u_prime": violation.u_prime,
-            "v": violation.v,
-            "v_prime": violation.v_prime,
-            "color": violation.color,
-        }
-    if isinstance(violation, CoverageViolation):
-        return {"kind": "coverage", "row": violation.row, "col": violation.col}
-    if isinstance(violation, LocalityViolation):
-        return {
-            "kind": "locality",
-            "side": violation.side,
-            "index": violation.index,
-            "count": violation.count,
-            "limit": violation.limit,
-        }
-    if isinstance(violation, KPartiteShuffleViolation):
-        return {
-            "kind": "kpartite_shuffle",
-            "color": violation.color,
-            "part_u": violation.part_u,
-            "u": violation.u,
-            "part_v": violation.part_v,
-            "v": violation.v,
-        }
-    if isinstance(violation, KPartiteCoverageViolation):
-        return {
-            "kind": "kpartite_coverage",
-            "part_a": violation.part_a,
-            "part_b": violation.part_b,
-            "row": violation.row,
-            "col": violation.col,
-        }
-    raise TypeError(f"not a violation: {violation!r}")
+def _plain(value: Any) -> Any:
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
-def witness_to_obj(witness: Any) -> dict[str, Any]:
-    from .detect import SuperimposedWitness
+def _tagged_to_obj(obj: Any) -> dict[str, Any]:
+    """A violation or witness as ``{"kind": ..., **fields}``, in field order,
+    with sets as sorted lists and tuples as lists."""
+    fields = {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    return {"kind": obj.kind, **fields}
 
-    if isinstance(witness, Witness):
-        return {
-            "kind": "witness",
-            "color": witness.color,
-            "rows": sorted(witness.rows),
-            "cols": sorted(witness.cols),
-        }
-    if isinstance(witness, KPartiteWitness):
-        return {
-            "kind": "kpartite_witness",
-            "color": witness.color,
-            "parts": [sorted(p) for p in witness.parts],
-        }
-    if isinstance(witness, SuperimposedWitness):
-        return {
-            "kind": "superimposed_witness",
-            "colors": sorted(witness.colors),
-            "vertices": sorted(witness.vertices),
-        }
-    raise TypeError(f"not a witness: {witness!r}")
+
+violation_to_obj = witness_to_obj = _tagged_to_obj
 
 
 # ---------------------------------------------------------------------------

@@ -340,7 +340,7 @@ def test_criterion_9_oracle_equivalence():
         for p in range(1, cover.n + 1):
             fast = find_mono_kpartite(cover, p)
             brute = find_mono_kpartite_brute(cover, p)
-            assert (fast is None) == (brute is None), (cover.k, cover.n, p)
+            assert fast == brute, (cover.k, cover.n, p)
             if fast is not None:
                 assert verify_kpartite_witness(cover, fast, p)
                 assert verify_kpartite_witness(cover, brute, p)
@@ -352,4 +352,4 @@ def test_criterion_9_oracle_equivalence():
             for p in range(1, n + 1):
                 fast = find_mono_kpartite(cover, p)
                 brute = find_mono_kpartite_brute(cover, p)
-                assert (fast is None) == (brute is None)
+                assert fast == brute, (k, n, p)

@@ -2,9 +2,9 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
 
 import pytest
@@ -229,7 +229,9 @@ def test_console_script_detect():
     # run the [project.scripts] target the way an installed wrapper would,
     # so the test needs no pip install
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["shufflecover"]
+    # a text parse, since tomllib is not in the stdlib before Python 3.11
+    scripts = pyproject.read_text().split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    target = re.search(r'^shufflecover\s*=\s*"([^"]+)"', scripts, re.M).group(1)
     module, func = target.split(":")
     wrapper = f"from {module} import {func}; {func}()"
     det = subprocess.run(

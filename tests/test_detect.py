@@ -22,6 +22,7 @@ from shufflecover import (
     SuperimposedWitness,
     TooManySubsets,
     Witness,
+    construct_kpartite_avoiding,
     construct_mod_m,
     construct_recursive_matrix,
     find_mono_biclique_brute,
@@ -173,6 +174,16 @@ def test_kpartite_none_above_guarantee():
 
 def test_kpartite_p_beyond_part_size_is_none():
     assert find_mono_kpartite(split_part_two_coloring(), 4) is None
+
+
+def test_kpartite_scan_on_twelve_parts():
+    # twelve parts: a part-dropping recursion would need about 8**3 times
+    # its 3 s at k = 9
+    cover = construct_kpartite_avoiding(4, 2, 12)
+    for p in (1, 2):
+        w = find_mono_kpartite(cover, p)
+        assert w is not None and verify_kpartite_witness(cover, w, p)
+    assert find_mono_kpartite(cover, 3) is None
 
 
 def test_kpartite_requires_two_colors():

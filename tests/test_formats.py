@@ -10,6 +10,8 @@ from shufflecover import (
     CoverageViolation,
     FormatError,
     KPartiteCover,
+    KPartiteCoverageViolation,
+    KPartiteShuffleViolation,
     KPartiteWitness,
     LocalityViolation,
     Rectangle,
@@ -138,6 +140,12 @@ def test_violation_objects_carry_kind():
     }
     obj = violation_to_obj(LocalityViolation(side="col", index=2, count=4, limit=3))
     assert obj["kind"] == "locality" and obj["side"] == "col"
+    assert violation_to_obj(
+        KPartiteShuffleViolation(color=1, part_u=0, u=2, part_v=3, v=1)
+    ) == {"kind": "kpartite_shuffle", "color": 1, "part_u": 0, "u": 2, "part_v": 3, "v": 1}
+    assert violation_to_obj(
+        KPartiteCoverageViolation(part_a=0, part_b=2, row=1, col=3)
+    ) == {"kind": "kpartite_coverage", "part_a": 0, "part_b": 2, "row": 1, "col": 3}
 
 
 def test_witness_objects_carry_kind():
@@ -151,6 +159,11 @@ def test_witness_objects_carry_kind():
         "colors": [0, 2],
         "vertices": [3],
     }
+    # key order and sorted sets are part of the CLI's byte-exact output;
+    # {8, 1} iterates as 8, 1
+    assert json.dumps(witness_to_obj(Witness(color=3, rows={8, 1}, cols={9, 2}))) == (
+        '{"kind": "witness", "color": 3, "rows": [1, 8], "cols": [2, 9]}'
+    )
 
 
 def test_load_instance_sniffs_matrix():
