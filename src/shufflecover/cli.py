@@ -112,7 +112,6 @@ def _build_parser() -> _Parser:
     sea.add_argument("--m", type=int, required=True)
     sea.add_argument("--p", type=int, required=True)
     sea.add_argument("--timeout-sec", type=float, default=None)
-    sea.add_argument("--workers", type=int, default=1)
 
     sup = sub.add_parser("superimposed", help="t-superimposed clique bound and exact best subset")
     sup.add_argument("--in", dest="path", default="-")
@@ -123,7 +122,6 @@ def _build_parser() -> _Parser:
     tab.add_argument("--m-max", type=int, default=None)
     tab.add_argument("--p-max", type=int, default=None)
     tab.add_argument("--timeout-sec", type=float, default=None)
-    tab.add_argument("--workers", type=int, default=1)
 
     return parser
 
@@ -256,7 +254,7 @@ def _cmd_search(args) -> int:
         timeout=args.timeout_sec,
         node_limit=_node_limit(),
     )
-    outcome = search_avoiding(params, workers=args.workers)
+    outcome = search_avoiding(params)
     obj = {
         "verdict": outcome.verdict,
         "witness": formats.cover_to_obj(outcome.witness) if outcome.witness else None,
@@ -297,7 +295,6 @@ def _cmd_table(args) -> int:
         args.p_max,
         timeout_per_cell=args.timeout_sec,
         node_limit=_node_limit(),
-        workers=args.workers,
     )
     print(CSV_HEADER)
     for row in rows:

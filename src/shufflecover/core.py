@@ -370,17 +370,13 @@ def rectangles_to_matrix(cover: RectangleCover) -> ColorMatrix:
 
 def check_coverage(cover: RectangleCover) -> CoverageViolation | None:
     """Return the first (row-major) uncovered cell, or None if all covered."""
-    row_hits = [0] * cover.n_rows
     covered = [[False] * cover.n_cols for _ in range(cover.n_rows)]
     for rect in cover.rectangles:
         for r in rect.rows:
-            row_hits[r] += 1
             row = covered[r]
             for c in rect.cols:
                 row[c] = True
     for r in range(cover.n_rows):
-        if row_hits[r] == 0:
-            return CoverageViolation(row=r, col=0)
         for c in range(cover.n_cols):
             if not covered[r][c]:
                 return CoverageViolation(row=r, col=c)

@@ -51,10 +51,11 @@ def parse_matrix(text: str) -> ColorMatrix:
             raise FormatError(f"bad matrix row: {line!r}") from exc
         if len(row) != n_cols:
             raise FormatError(f"row has {len(row)} entries, expected {n_cols}")
-        if any(c < 0 for c in row):
-            raise FormatError("color ids must be non-negative")
         rows.append(row)
-    return ColorMatrix(tuple(rows))
+    try:
+        return ColorMatrix(tuple(rows))
+    except ValueError as exc:  # a negative color id
+        raise FormatError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -38,19 +38,12 @@ in all, (5,3,2) being an UNSAT proof of 4,089 nodes.  On the ``hot_cells``
 workload (6,2,3) and (6,3,2) are UNSAT in 1,232 and 13,881 nodes, the
 three SAT cells take under 3,000 nodes each, and (6,4,2), (7,3,3) and
 (7,5,2) still hit their 12 s budget, 36.2 s for the whole pass.
-
-``workers > 1`` splits the root candidates across processes under one
-wall-clock deadline; verdicts match the single-worker run whenever no
-budget binds (the node budget applies to each subtree on its own, so
-which cells come back INCONCLUSIVE under a binding budget can depend on
-scheduling).
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
@@ -305,98 +298,32 @@ def _witness_cover(n: int, rects: list[tuple[tuple[int, ...], tuple[int, ...]]])
     )
 
 
-def _run_rooted(
-    n: int,
-    m: int,
-    p: int,
-    deadline: float | None,
-    node_limit: int | None,
-    root: tuple[tuple[int, ...], tuple[int, ...], int] | None,
-) -> tuple[str, list | None, int, dict[str, int]]:
-    """Run one (sub)search until the absolute ``time.monotonic()``
-    deadline; root, if given, is a first rectangle to apply."""
-    searcher = _Searcher(n, m, p, deadline, node_limit)
-    covered = 0
-    row_used = [0] * n
-    col_used = [0] * n
-    chosen: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    if root is not None:
-        rows, cols, cell_mask = root
-        for r in rows:
-            row_used[r] += 1
-        for c in cols:
-            col_used[c] += 1
-        covered = cell_mask
-        chosen.append((rows, cols))
-    try:
-        sat = searcher.dfs(covered, row_used, col_used, chosen)
-    except _Abort as abort:
-        searcher.prunes[f"abort_{abort.reason}"] += 1
-        return INCONCLUSIVE, None, searcher.nodes, dict(searcher.prunes)
-    if sat:
-        return SAT, searcher.witness, searcher.nodes, dict(searcher.prunes)
-    return UNSAT, None, searcher.nodes, dict(searcher.prunes)
-
-
-def _subtree_task(args) -> tuple[str, list | None, int, dict[str, int]]:
-    return _run_rooted(*args)
-
-
-def search_avoiding(params: SearchParams, workers: int = 1) -> SearchOutcome:
+def search_avoiding(params: SearchParams) -> SearchOutcome:
     """Decide whether an avoiding cover exists for the cell (n, m, p).
 
     SAT outcomes carry a certificate :class:`RectangleCover` (coverage
     complete, local width <= m, every thin side <= p-1) with colors numbered
     in discovery order.  UNSAT means the dominance-canonical space was
-    exhausted.  Budgets produce INCONCLUSIVE.
+    exhausted.  Budgets produce INCONCLUSIVE; ``timeout`` is one wall-clock
+    limit for the whole search.
     """
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    n, m, p = params.n, params.m, params.p
+    n = params.n
     start = time.monotonic()
     deadline = start + params.timeout if params.timeout is not None else None
-    if workers == 1:
-        verdict, rects, nodes, prunes = _run_rooted(
-            n, m, p, deadline, params.node_limit, None
-        )
-        millis = (time.monotonic() - start) * 1000.0
-        witness = _witness_cover(n, rects) if rects is not None else None
-        return SearchOutcome(verdict, witness, SearchStats(nodes, prunes, millis))
-
-    scout = _Searcher(n, m, p, None, None)
-    roots = scout.candidates(0, [0] * n, [0] * n)
-    nodes_total = 1 + scout.nodes
-    prunes_total = scout.prunes
-    if not roots:
-        prunes_total["no_candidates"] += 1
-        millis = (time.monotonic() - start) * 1000.0
-        return SearchOutcome(UNSAT, None, SearchStats(nodes_total, dict(prunes_total), millis))
-    tasks = [(n, m, p, deadline, params.node_limit, root) for root in roots]
-    verdicts: list[str] = []
+    searcher = _Searcher(n, params.m, params.p, deadline, params.node_limit)
     witness = None
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = {pool.submit(_subtree_task, task) for task in tasks}
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                verdict, rects, nodes, prunes = fut.result()
-                verdicts.append(verdict)
-                nodes_total += nodes
-                prunes_total.update(prunes)
-                if verdict == SAT and witness is None:
-                    witness = _witness_cover(n, rects)
-                    for other in pending:
-                        other.cancel()
-                    pending = set()
-                    break
-    millis = (time.monotonic() - start) * 1000.0
-    if witness is not None:
-        verdict = SAT
-    elif any(v == INCONCLUSIVE for v in verdicts):
+    try:
+        if searcher.dfs(0, [0] * n, [0] * n, []):
+            verdict = SAT
+            witness = _witness_cover(n, searcher.witness)
+        else:
+            verdict = UNSAT
+    except _Abort as abort:
+        searcher.prunes[f"abort_{abort.reason}"] += 1
         verdict = INCONCLUSIVE
-    else:
-        verdict = UNSAT
-    return SearchOutcome(verdict, witness, SearchStats(nodes_total, dict(prunes_total), millis))
+    millis = (time.monotonic() - start) * 1000.0
+    stats = SearchStats(searcher.nodes, dict(searcher.prunes), millis)
+    return SearchOutcome(verdict, witness, stats)
 
 
 def threshold_table(
@@ -406,7 +333,6 @@ def threshold_table(
     *,
     timeout_per_cell: float | None = None,
     node_limit: int | None = None,
-    workers: int = 1,
 ) -> Iterator[TableRow]:
     """Sweep all cells (n, m, p) up to the given maxima, yielding one row per
     cell as it is decided.
@@ -433,8 +359,7 @@ def threshold_table(
                 else:
                     regime = "open"
                 outcome = search_avoiding(
-                    SearchParams(n, m, p, timeout=timeout_per_cell, node_limit=node_limit),
-                    workers=workers,
+                    SearchParams(n, m, p, timeout=timeout_per_cell, node_limit=node_limit)
                 )
                 yield TableRow(
                     n=n,

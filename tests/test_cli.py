@@ -51,6 +51,9 @@ def test_generate_missing_args_usage_error():
 def test_unknown_flag_maps_to_64():
     assert run(["generate", "--nope"]) == 64
     assert run([]) == 64
+    # the search runs in one process; there is no --workers option
+    assert run(["search", "--n", "4", "--m", "3", "--p", "2", "--workers", "2"]) == 64
+    assert run(["table", "--n-max", "2", "--workers", "2"]) == 64
 
 
 def test_generate_to_file_and_validate_from_file(tmp_path, capsys):

@@ -162,6 +162,13 @@ def test_check_coverage_reports_first_gap_row_major():
     )
     cover = RectangleCover(n_rows=2, n_cols=2, rectangles=rects)
     assert check_coverage(cover) == CoverageViolation(row=1, col=0)
+    # a row that no rectangle touches: its first cell is the gap
+    rects = (
+        Rectangle(color=0, rows=[0, 1], cols=[0]),
+        Rectangle(color=1, rows=[0, 1], cols=[1]),
+    )
+    cover = RectangleCover(n_rows=3, n_cols=2, rectangles=rects)
+    assert check_coverage(cover) == CoverageViolation(row=2, col=0)
 
 
 def test_check_coverage_ok_on_partition():
