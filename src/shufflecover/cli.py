@@ -46,7 +46,6 @@ from .constructions import (
 from .detect import (
     CliqueFamily,
     InstanceTooLarge,
-    NotTwoColored,
     TooManySubsets,
     find_mono_biclique_brute,
     find_mono_biclique_fast,
@@ -321,13 +320,7 @@ def run(argv: list[str]) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except formats.FormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EX_DATAERR
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EX_DATAERR
-    except NotTwoColored as exc:
+    except (formats.FormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EX_DATAERR
     except NotShufflePreserved as exc:

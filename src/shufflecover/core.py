@@ -14,7 +14,9 @@ integers and need not be contiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
+from itertools import combinations
 
 
 class OverlapError(ValueError):
@@ -368,19 +370,28 @@ def rectangles_to_matrix(cover: RectangleCover) -> ColorMatrix:
     return ColorMatrix(tuple(tuple(row) for row in grid))  # type: ignore[arg-type]
 
 
+def _first_gap(
+    rows: Iterable[int], cols: Sequence[int], rects: Iterable[Rectangle]
+) -> tuple[int, int] | None:
+    """First cell of rows x cols, row-major in the order given, that no
+    rectangle in ``rects`` covers; None if every cell is covered."""
+    masks: dict[int, int] = {}
+    for rect in rects:
+        col_mask = sum(1 << c for c in rect.cols)
+        for r in rect.rows:
+            masks[r] = masks.get(r, 0) | col_mask
+    want = sum(1 << c for c in cols)
+    for r in rows:
+        mask = masks.get(r, 0)
+        if mask & want != want:
+            return r, next(c for c in cols if not mask >> c & 1)
+    return None
+
+
 def check_coverage(cover: RectangleCover) -> CoverageViolation | None:
     """Return the first (row-major) uncovered cell, or None if all covered."""
-    covered = [[False] * cover.n_cols for _ in range(cover.n_rows)]
-    for rect in cover.rectangles:
-        for r in rect.rows:
-            row = covered[r]
-            for c in rect.cols:
-                row[c] = True
-    for r in range(cover.n_rows):
-        for c in range(cover.n_cols):
-            if not covered[r][c]:
-                return CoverageViolation(row=r, col=c)
-    return None
+    gap = _first_gap(range(cover.n_rows), range(cover.n_cols), cover.rectangles)
+    return None if gap is None else CoverageViolation(row=gap[0], col=gap[1])
 
 
 def local_profile(cover: RectangleCover) -> LocalProfile:
@@ -446,17 +457,6 @@ def triple_count(cover: RectangleCover) -> int:
 # k-partite validators
 
 
-def _kpartite_edge_colors(cover: KPartiteCover) -> dict[tuple[int, int], dict[tuple[int, int], set[int]]]:
-    edges: dict[tuple[int, int], dict[tuple[int, int], set[int]]] = {}
-    for a, b, rects in cover.pairs:
-        cellmap = edges.setdefault((a, b), {})
-        for rect in rects:
-            for u in rect.rows:
-                for v in rect.cols:
-                    cellmap.setdefault((u, v), set()).add(rect.color)
-    return edges
-
-
 def validate_kpartite(cover: KPartiteCover) -> KPartiteShuffleViolation | None:
     """Check the multipartite swap property.
 
@@ -464,35 +464,28 @@ def validate_kpartite(cover: KPartiteCover) -> KPartiteShuffleViolation | None:
     (u, v) with u in the touched set of a and v in the touched set of b must
     carry an edge of color c.  Returns the first missing pair found, or None.
     """
-    edges = _kpartite_edge_colors(cover)
+    by_pair = {(a, b): rects for a, b, rects in cover.pairs}
     for color in sorted(cover.colors()):
         touched = cover.touched_sets(color)
-        for a in range(cover.k):
-            if not touched[a]:
+        for a, b in combinations(range(cover.k), 2):
+            if not (touched[a] and touched[b]):
                 continue
-            for b in range(a + 1, cover.k):
-                if not touched[b]:
-                    continue
-                cellmap = edges.get((a, b), {})
-                for u in sorted(touched[a]):
-                    for v in sorted(touched[b]):
-                        if color not in cellmap.get((u, v), ()):
-                            return KPartiteShuffleViolation(
-                                color=color, part_u=a, u=u, part_v=b, v=v
-                            )
+            own = [rect for rect in by_pair.get((a, b), ()) if rect.color == color]
+            gap = _first_gap(sorted(touched[a]), sorted(touched[b]), own)
+            if gap is not None:
+                return KPartiteShuffleViolation(
+                    color=color, part_u=a, u=gap[0], part_v=b, v=gap[1]
+                )
     return None
 
 
 def check_kpartite_coverage(cover: KPartiteCover) -> KPartiteCoverageViolation | None:
     """First cross-part vertex pair with no edge at all, or None if complete."""
-    edges = _kpartite_edge_colors(cover)
-    for a in range(cover.k):
-        for b in range(a + 1, cover.k):
-            cellmap = edges.get((a, b), {})
-            for u in range(cover.n):
-                for v in range(cover.n):
-                    if (u, v) not in cellmap:
-                        return KPartiteCoverageViolation(part_a=a, part_b=b, row=u, col=v)
+    by_pair = {(a, b): rects for a, b, rects in cover.pairs}
+    for a, b in combinations(range(cover.k), 2):
+        gap = _first_gap(range(cover.n), range(cover.n), by_pair.get((a, b), ()))
+        if gap is not None:
+            return KPartiteCoverageViolation(part_a=a, part_b=b, row=gap[0], col=gap[1])
     return None
 
 

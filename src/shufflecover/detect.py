@@ -40,10 +40,6 @@ class TooManySubsets(ValueError):
     """Exact superimposed search would enumerate too many color subsets."""
 
 
-class NotTwoColored(ValueError):
-    """The 2-coloring guarantee was invoked on a different color count."""
-
-
 @dataclass(frozen=True)
 class CliqueFamily:
     """One clique of vertices per color on a shared vertex set 0..n-1."""
@@ -218,30 +214,25 @@ def verify_biclique_witness(graph: BruteInput, witness: Witness, p: int) -> bool
 
 def find_mono_kpartite(cover: KPartiteCover, p: int) -> KPartiteWitness | None:
     """Monochromatic complete k-partite subgraph with p vertices per part,
-    for complete shuffle-preserved 2-colorings.
+    for complete shuffle-preserved colorings with any number of colors.
 
     Scans colors in ascending order for one that touches at least p
     vertices in every part, and returns its lowest p per part.  The scan is
     exact because a validated color carries every edge between its touched
     sets, so each color class is complete multipartite on what it touches.
-    Guaranteed to succeed when 2(p-1) < n; may return None above that.
-    Raises :class:`NotTwoColored` or :class:`NotShufflePreserved` (also used
-    for incomplete coverage) on bad input.
+    On a 2-coloring a witness is guaranteed when 2(p-1) < n; above that, or
+    with more colors, the result may be None.  Raises
+    :class:`NotShufflePreserved` (also used for incomplete coverage) on bad
+    input.
     """
     if p < 1:
         raise ValueError("p must be positive")
-    colors = cover.colors()
-    if len(colors) != 2:
-        raise NotTwoColored(f"need exactly 2 colors, got {sorted(colors)}")
-    violation = validate_kpartite(cover)
+    violation = validate_kpartite(cover) or check_kpartite_coverage(cover)
     if violation is not None:
         raise NotShufflePreserved(violation)  # type: ignore[arg-type]
-    gap = check_kpartite_coverage(cover)
-    if gap is not None:
-        raise NotShufflePreserved(gap)  # type: ignore[arg-type]
     if p > cover.n:
         return None
-    for color in sorted(colors):
+    for color in sorted(cover.colors()):
         touched = cover.touched_sets(color)
         if all(len(t) >= p for t in touched):
             return KPartiteWitness(

@@ -187,8 +187,6 @@ def load_instance(text: str):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise FormatError("top-level JSON value must be an object")
     if "rectangles" in obj:
         return cover_from_obj(obj)
     if "pairs" in obj:

@@ -344,12 +344,13 @@ def test_criterion_9_oracle_equivalence():
             if fast is not None:
                 assert verify_kpartite_witness(cover, fast, p)
                 assert verify_kpartite_witness(cover, brute, p)
-    # the m-coloring constructions feed the bipartite comparison too when
-    # they are two-colored
+    # the m-coloring constructions feed the k-partite comparison too, with
+    # any color count
     for k in (3, 4):
         for n in range(2, 5):
-            cover = construct_kpartite_avoiding(n, 2, k)
-            for p in range(1, n + 1):
-                fast = find_mono_kpartite(cover, p)
-                brute = find_mono_kpartite_brute(cover, p)
-                assert fast == brute, (k, n, p)
+            for m in range(1, 5):
+                cover = construct_kpartite_avoiding(n, m, k)
+                for p in range(1, n + 1):
+                    fast = find_mono_kpartite(cover, p)
+                    brute = find_mono_kpartite_brute(cover, p)
+                    assert fast == brute, (k, n, m, p)

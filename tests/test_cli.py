@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -12,7 +13,9 @@ import pytest
 from shufflecover import write_matrix, construct_recursive_matrix
 from shufflecover.cli import run
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_TEXT = "4 4\n1 5 2 2\n1 4 3 4\n8 5 8 7\n6 6 3 7\n"
+FAMILY_TEXT = json.dumps({"n_vertices": 5, "cliques": [{"color": 0, "vertices": [0, 1, 2, 3, 4]}]})
 
 
 def feed(monkeypatch, text: str) -> None:
@@ -46,6 +49,7 @@ def test_generate_kpartite_matrix_is_usage_error(capsys):
 def test_generate_missing_args_usage_error():
     assert run(["generate", "--kind", "modm", "--n", "5"]) == 64
     assert run(["generate", "--kind", "recursive"]) == 64
+    assert run(["generate", "--kind", "kpartite", "--n", "4", "--m", "2"]) == 64
 
 
 def test_unknown_flag_maps_to_64():
@@ -94,6 +98,9 @@ def test_validate_kpartite_input(monkeypatch, capsys):
     feed(monkeypatch, text)
     assert run(["validate"]) == 0
     assert capsys.readouterr().out.strip() == "ok"
+    # locality budgets are defined for bipartite inputs only
+    feed(monkeypatch, text)
+    assert run(["validate", "--max-local", "2"]) == 64
 
 
 def test_validate_empty_stdin_is_data_error(monkeypatch):
@@ -133,13 +140,20 @@ def test_detect_kpartite_two_colors(monkeypatch, capsys):
     assert capsys.readouterr().out.strip() == "none"
 
 
-def test_detect_kpartite_three_colors_fast_is_data_error(monkeypatch, capsys):
-    run(["generate", "--kind", "kpartite", "--n", "4", "--m", "3", "--k", "3"])
+def test_detect_kpartite_three_colors_fast_matches_brute(monkeypatch, capsys):
+    run(["generate", "--kind", "kpartite", "--n", "6", "--m", "3", "--k", "3"])
     text = capsys.readouterr().out
-    feed(monkeypatch, text)
-    assert run(["detect", "--p", "1"]) == 65
-    feed(monkeypatch, text)
-    assert run(["detect", "--p", "1", "--mode", "brute"]) == 0
+    for p in ("1", "2", "3"):
+        outs = []
+        for mode in ("fast", "brute"):
+            feed(monkeypatch, text)
+            assert run(["detect", "--p", p, "--mode", mode]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        if p == "3":  # above ceil(6/3) the mod-3 construction avoids it
+            assert outs[0] == "none\n"
+        else:
+            assert json.loads(outs[0])["kind"] == "kpartite_witness"
 
 
 def test_detect_guard_exit_code(monkeypatch):
@@ -155,6 +169,13 @@ def test_bound_json(capsys):
     assert run(["bound", "--n", "5", "--m", "2"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj == {"guaranteed_p": 3, "avoidance_threshold": 3}
+    # the same answer through __main__ in a fresh interpreter
+    proc = subprocess.run(
+        [sys.executable, "-m", "shufflecover", "bound", "--n", "9", "--m", "3"],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"guaranteed_p": 3, "avoidance_threshold": 3}
 
 
 def test_search_exit_codes(capsys, monkeypatch):
@@ -186,8 +207,7 @@ def test_bad_guard_env_is_usage_error(monkeypatch):
 
 
 def test_superimposed_frozen_values(monkeypatch, capsys):
-    fam = {"n_vertices": 5, "cliques": [{"color": 0, "vertices": [0, 1, 2, 3, 4]}]}
-    feed(monkeypatch, json.dumps(fam))
+    feed(monkeypatch, FAMILY_TEXT)
     assert run(["superimposed", "--t", "1"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["bound"] == 5 and obj["s_t"] == 5
@@ -197,6 +217,11 @@ def test_superimposed_frozen_values(monkeypatch, capsys):
 def test_superimposed_wrong_input_kind(monkeypatch):
     feed(monkeypatch, GOLDEN_TEXT)
     assert run(["superimposed", "--t", "1"]) == 65
+    # and the other way round: a clique family is not a coloring
+    feed(monkeypatch, FAMILY_TEXT)
+    assert run(["validate"]) == 65
+    feed(monkeypatch, FAMILY_TEXT)
+    assert run(["detect", "--p", "1"]) == 65
 
 
 def test_superimposed_bad_t_is_usage_error(monkeypatch):

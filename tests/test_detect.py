@@ -16,7 +16,6 @@ from shufflecover import (
     KPartiteCover,
     KPartiteWitness,
     NotShufflePreserved,
-    NotTwoColored,
     Rectangle,
     RectangleCover,
     SuperimposedWitness,
@@ -186,12 +185,14 @@ def test_kpartite_scan_on_twelve_parts():
     assert find_mono_kpartite(cover, 3) is None
 
 
-def test_kpartite_requires_two_colors():
+def test_kpartite_one_color_matches_brute():
+    # the scan is exact for any color count, not only for 2-colorings
     all2 = frozenset(range(2))
     one = (Rectangle(color=0, rows=all2, cols=all2),)
     cover = KPartiteCover(k=2, n=2, pairs=((0, 1, one),))
-    with pytest.raises(NotTwoColored):
-        find_mono_kpartite(cover, 1)
+    w = find_mono_kpartite(cover, 1)
+    assert w == find_mono_kpartite_brute(cover, 1)
+    assert w == KPartiteWitness(color=0, parts=({0}, {0}))
 
 
 def test_kpartite_rejects_invalid_coloring():

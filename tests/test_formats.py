@@ -123,6 +123,16 @@ def test_kpartite_from_obj_rejects_bad_parts():
         kpartite_from_obj(obj)
 
 
+def test_kpartite_from_obj_rejects_malformed_rectangle():
+    obj = kpartite_to_obj(sample_kpartite())
+    del obj["pairs"][1]["rectangles"][0]["cols"]
+    # the rectangle's own error comes through, not a generic k-partite one
+    with pytest.raises(FormatError, match="rectangle objects need"):
+        kpartite_from_obj(obj)
+    with pytest.raises(FormatError, match="rectangle objects need"):
+        load_instance(json.dumps(obj))
+
+
 def test_clique_family_round_trip():
     family = CliqueFamily(
         n_vertices=5, cliques=((0, frozenset({0, 1, 2})), (3, frozenset({2, 4})))

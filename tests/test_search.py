@@ -28,6 +28,7 @@ from shufflecover import (
     table_row_csv,
     threshold_table,
 )
+from shufflecover import search
 from shufflecover.search import _Searcher
 
 
@@ -283,3 +284,24 @@ def test_stats_record_prune_reasons():
     out = run(4, 2, 2)
     assert out.stats.millis >= 0
     assert sum(out.stats.prunes.values()) > 0
+
+
+def test_memo_generation_rollover(monkeypatch):
+    # a 64-key generation makes the memo roll over many times per cell; the
+    # keys it drops only cost re-search, so verdicts must not change
+    searchers = []
+
+    class Recording(_Searcher):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searchers.append(self)
+
+    monkeypatch.setattr(search, "_MEMO_GENERATION", 64)
+    monkeypatch.setattr(search, "_Searcher", Recording)
+    for n, m, p in ((5, 3, 2), (6, 3, 2)):
+        assert run(n, m, p).verdict == UNSAT
+        assert searchers[-1].old_memo
+    for n, m, p in ((4, 3, 2), (5, 4, 2)):
+        out = run(n, m, p)
+        assert out.verdict == SAT
+        assert_certificate(out, n, m, p)
