@@ -7,7 +7,7 @@ lies in at most m rectangles.  The search runs over that cover space:
 depth-first, branching on the lexicographically first uncovered cell,
 trying the candidate rectangles through it thinnest first, then largest.
 
-Pruning is dominance-based and provably complete.  A candidate never
+Every prune is provably complete: none loses a cover.  A candidate never
 includes a row above the branching row (those rows are covered), and each
 of its lines brings an uncovered cell (shrinking a cover's rectangle to such
 lines leaves a cover).  On top of that:
@@ -19,9 +19,19 @@ lines leaves a cover).  On top of that:
   the last of a line's m slots while that line keeps an uncovered cell can
   never be completed, since no later rectangle may touch that line.  Each
   dropped child still counts as one node and one ``dead_line`` prune.
-* Failed states are memoized under one int: the covered cells plus the use
-  counts of lines that still have an uncovered cell.  No candidate touches
-  a covered line again, so its count cannot change the outcome.
+* Counting bound, the guarantee theorem's own argument applied at every
+  node.  Let t = p-1 and U the uncovered cells; an open line L (one with an
+  uncovered cell) has u_L of them and s_L = m - used_L uses left, and
+  cap_L = s_L - [u_L > t*s_L].  No completion exists when
+  |U| > t * sum(cap_L over open L).  Proof: shrink a completion so that its
+  rectangles touch only open lines.  Call a rectangle row-thin if it has at
+  most t rows, else column-thin, and charge each cell of U to one rectangle
+  covering it: to that rectangle's column if it is row-thin, to its row if
+  it is column-thin.  A rectangle takes at most t charges on any line, so
+  |U| <= t * sum(rectangles charging L).  If u_L > t*s_L, some rectangle
+  through L has L on its thin side and charges nothing to L, so at most
+  s_L - 1 rectangles charge L.  On the empty grid the bound fires exactly
+  when n > 2(p-1)(m-1) and p <= n: the paper's theorem.
 * Symmetry is broken (after Crawford, Ginsberg, Luks & Roy, KR 1996).
   Two open lines with the same uncovered cells and the same use count are
   interchangeable: swapping them maps the state to itself, so from each
@@ -33,11 +43,13 @@ Verdicts are SAT (with a certificate cover), UNSAT (search space exhausted),
 or INCONCLUSIVE (timeout or node budget hit; never reported as UNSAT).
 
 Practical envelope, measured with ``bench/run.py`` in reference seconds
-(see bench/README.md): the 150 cells of ``table --n-max 5`` take 0.076 s
-in all, (5,3,2) being an UNSAT proof of 4,089 nodes.  On the ``hot_cells``
-workload (6,2,3) and (6,3,2) are UNSAT in 1,232 and 13,881 nodes, the
-three SAT cells take under 3,000 nodes each, and (6,4,2), (7,3,3) and
-(7,5,2) still hit their 12 s budget, 36.2 s for the whole pass.
+(see bench/README.md): the counting bound refutes every guaranteed cell at
+the root, in 1 node, so the 150 cells of ``table --n-max 5`` take 1,189
+nodes and 0.023 s in all.  All 8 ``hot_cells`` cells are decided, in
+1.84 s for the whole pass; the slowest, (6,4,2), (7,3,3) and (7,5,2), are
+SAT in 58,504, 18,257 and 145,544 nodes.  ``threshold_table(7,
+timeout_per_cell=20)`` decides all 392 cells with n <= 7 in about 2.3 raw
+seconds on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -49,12 +61,6 @@ from itertools import product
 from typing import Iterator
 
 from .core import Rectangle, RectangleCover, avoidance_threshold, guaranteed_p
-
-# Failed states are kept in two generations of up to this many keys each:
-# when the young one fills, it becomes the old one and the previous old one
-# is dropped.  That bounds the memo at 2 x 2^16 packed ints, about 10 MB,
-# however long a search runs; a dropped state only costs a re-search.
-_MEMO_GENERATION = 1 << 16
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -137,13 +143,10 @@ class _Searcher:
         self.col_mask = [
             sum(1 << (r * n + c) for r in range(n)) for c in range(n)
         ]
-        self.key_width = (m - 1).bit_length()
         self.deadline = deadline
         self.node_limit = node_limit
         self.nodes = 0
         self.prunes: Counter[str] = Counter()
-        self.memo: set[int] = set()
-        self.old_memo: set[int] = set()
         self.witness: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
 
     # -- candidate enumeration ------------------------------------------
@@ -228,21 +231,19 @@ class _Searcher:
         out.sort()
         return [(rows, cols, cell_mask) for _, _, rows, cols, cell_mask in out]
 
-    def memo_key(self, covered: int, row_used: list[int], col_used: list[int]) -> int:
-        """``covered`` with the use count of every open line packed above
-        bit n*n, in fields wide enough for m-1 (an open line of a live state
-        has a use left); lines with no uncovered cell count as 0, because no
-        candidate can touch them again."""
+    def room_left(self, covered: int, row_used: list[int], col_used: list[int]) -> bool:
+        """False when the counting bound (module docstring) shows that the
+        uncovered cells cannot all be covered with the uses left."""
         uncov = ~covered & self.full
-        key = covered
-        shift = self.n * self.n
-        width = self.key_width
+        t, m = self.p - 1, self.m
+        cap = 0
         for masks, used in ((self.row_mask, row_used), (self.col_mask, col_used)):
             for mask, count in zip(masks, used):
-                if uncov & mask:
-                    key |= count << shift
-                shift += width
-        return key
+                u = (uncov & mask).bit_count()
+                if u:
+                    left = m - count
+                    cap += left - (u > t * left)
+        return uncov.bit_count() <= t * cap
 
     # -- depth-first search ---------------------------------------------
 
@@ -261,9 +262,8 @@ class _Searcher:
         if covered == self.full:
             self.witness = list(chosen)
             return True
-        key = self.memo_key(covered, row_used, col_used)
-        if key in self.memo or key in self.old_memo:
-            self.prunes["memo"] += 1
+        if not self.room_left(covered, row_used, col_used):
+            self.prunes["counting"] += 1
             return False
         cands = self.candidates(covered, row_used, col_used)
         if not cands:
@@ -281,9 +281,6 @@ class _Searcher:
                 row_used[r] -= 1
             for c in cols:
                 col_used[c] -= 1
-        self.memo.add(key)
-        if len(self.memo) >= _MEMO_GENERATION:
-            self.old_memo, self.memo = self.memo, set()
         return False
 
 

@@ -1,4 +1,4 @@
-"""Acceptance suite: nine criteria, one printed PASS/FAIL line each.
+"""Acceptance suite: ten criteria, one printed PASS/FAIL line each.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
 complete.  Each criterion asserts its own wall-clock budget, so a pass
@@ -37,6 +37,7 @@ from shufflecover import (
     max_superimposed,
     random_cover,
     superimposed_bound,
+    search_avoiding,
     threshold_table,
     triple_count,
     validate_kpartite,
@@ -45,6 +46,7 @@ from shufflecover import (
     verify_kpartite_witness,
 )
 from shufflecover.cli import run
+from test_search import assert_certificate
 
 
 def criterion(num, name, budget_s):
@@ -354,3 +356,14 @@ def test_criterion_9_oracle_equivalence():
                     fast = find_mono_kpartite(cover, p)
                     brute = find_mono_kpartite_brute(cover, p)
                     assert fast == brute, (k, n, m, p)
+
+
+@criterion(10, "every n <= 6 cell decided, SAT iff p > guaranteed_p", 120.0)
+def test_criterion_10_n6_table_decided():
+    rows = list(threshold_table(6, timeout_per_cell=20))
+    assert len(rows) == 6 * 6 * 7 == 252
+    for row in rows:
+        assert row.verdict == (SAT if row.p > guaranteed_p(row.n, row.m) else UNSAT), row
+        if row.verdict == SAT:
+            out = search_avoiding(SearchParams(row.n, row.m, row.p, timeout=20))
+            assert_certificate(out, row.n, row.m, row.p)

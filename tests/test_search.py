@@ -1,9 +1,11 @@
 """Avoidance search tests.
 
 Verdicts for small cells are pinned against the closed-form regimes:
-guaranteed cells must exhaust to UNSAT, avoidable cells must produce a
+guaranteed cells must come back UNSAT, avoidable cells must produce a
 certificate, and the open cell (4, 3, 2) is known SAT.  The whole n <= 5
-table is pinned verdict by verdict, so a prune that loses a cover shows.
+table is pinned verdict by verdict, so a prune that loses a cover shows;
+it is checked with the counting bound off as well, since the bound alone
+refutes every guaranteed cell.
 """
 
 import random
@@ -28,7 +30,6 @@ from shufflecover import (
     table_row_csv,
     threshold_table,
 )
-from shufflecover import search
 from shufflecover.search import _Searcher
 
 
@@ -135,7 +136,8 @@ def test_node_limit_gives_inconclusive():
 
 
 def test_timeout_gives_inconclusive():
-    out = run(5, 3, 2, timeout=0.001)
+    # (6,4,2) is SAT only after tens of thousands of nodes
+    out = run(6, 4, 2, timeout=0.001)
     assert out.verdict == INCONCLUSIVE
 
 
@@ -265,15 +267,6 @@ def test_candidates_match_brute_force_up_to_symmetry():
                 col_used[c] += 1
 
 
-def test_memo_key_ignores_covered_lines_only():
-    searcher = _Searcher(3, 3, 2, None, None)
-    row0 = 0b111  # row 0 covered; every column still open
-    key = searcher.memo_key(row0, [1, 0, 0], [1, 1, 1])
-    assert key == searcher.memo_key(row0, [2, 0, 0], [1, 1, 1])
-    assert key != searcher.memo_key(row0, [1, 1, 0], [1, 1, 1])
-    assert key != searcher.memo_key(row0, [1, 0, 0], [2, 1, 1])
-
-
 def test_table_row_csv_shape():
     row = TableRow(n=3, m=2, p=2, regime="guaranteed", verdict=UNSAT, nodes=17, millis=1.25)
     assert CSV_HEADER == "n,m,p,regime,verdict,nodes,millis"
@@ -286,22 +279,57 @@ def test_stats_record_prune_reasons():
     assert sum(out.stats.prunes.values()) > 0
 
 
-def test_memo_generation_rollover(monkeypatch):
-    # a 64-key generation makes the memo roll over many times per cell; the
-    # keys it drops only cost re-search, so verdicts must not change
-    searchers = []
+def test_counting_bound_at_root_is_the_theorem():
+    # on the empty grid the bound is the guarantee theorem, cell for cell
+    cells = 0
+    for n in range(1, 25):
+        for m in range(1, n + 2):
+            for p in range(1, n + 2):
+                searcher = _Searcher(n, m, p, None, None)
+                fires = not searcher.room_left(0, [0] * n, [0] * n)
+                assert fires == (p <= guaranteed_p(n, m)), (n, m, p)
+                cells += 1
+    assert cells == 5524
 
-    class Recording(_Searcher):
-        def __init__(self, *args):
-            super().__init__(*args)
-            searchers.append(self)
 
-    monkeypatch.setattr(search, "_MEMO_GENERATION", 64)
-    monkeypatch.setattr(search, "_Searcher", Recording)
-    for n, m, p in ((5, 3, 2), (6, 3, 2)):
-        assert run(n, m, p).verdict == UNSAT
-        assert searchers[-1].old_memo
-    for n, m, p in ((4, 3, 2), (5, 4, 2)):
-        out = run(n, m, p)
-        assert out.verdict == SAT
-        assert_certificate(out, n, m, p)
+def test_n5_verdicts_without_counting_bound(monkeypatch):
+    # UNSAT verdicts rest on the bound; with it off the exhaustive search
+    # alone must still reach every pinned verdict
+    monkeypatch.setattr(_Searcher, "room_left", lambda self, *state: True)
+    for (n, m), verdicts in N5_VERDICTS.items():
+        for p, letter in enumerate(verdicts, start=1):
+            out = run(n, m, p)
+            assert out.verdict == {"S": SAT, "U": UNSAT}[letter], (n, m, p)
+            assert "counting" not in out.stats.prunes
+
+
+def test_counting_bound_prunes_only_dead_states():
+    # random walks through the cover space as in the candidate test; at
+    # every state the bound rejects, the search with the bound off must
+    # find no completion
+    rng = random.Random(20240602)
+    states = fired = 0
+    while states < 400:
+        n, m, p = rng.randint(2, 4), rng.randint(1, 3), rng.randint(2, 4)
+        covered, row_used, col_used = 0, [0] * n, [0] * n
+        while covered != (1 << (n * n)) - 1:
+            states += 1
+            if not _Searcher(n, m, p, None, None).room_left(covered, row_used, col_used):
+                fired += covered != 0
+                unbounded = _Searcher(n, m, p, None, None)
+                unbounded.room_left = lambda *state: True
+                assert not unbounded.dfs(covered, list(row_used), list(col_used), []), (
+                    n, m, p, covered, row_used, col_used
+                )
+            ref, _ = reference_candidates(n, m, p, covered, row_used, col_used)
+            if not ref:
+                break
+            rows, cols = rng.choice(ref)
+            for r in rows:
+                row_used[r] += 1
+                for c in cols:
+                    covered |= 1 << (r * n + c)
+            for c in cols:
+                col_used[c] += 1
+    # the bound fires below the root often enough for this to test it
+    assert fired >= 20
