@@ -15,10 +15,14 @@ lines leaves a cover).  On top of that:
 * Thin side first: under at most p-1 rows any columns are taken, otherwise
   only column sets of at most p-1 are drawn; these are exactly the
   rectangles the thin-side bound allows, so none is lost.
-* Dead children are dropped as candidates are built: a rectangle that uses
-  the last of a line's m slots while that line keeps an uncovered cell can
-  never be completed, since no later rectangle may touch that line.  Each
-  dropped child still counts as one node and one ``dead_line`` prune.
+* Dead children are never built: a rectangle that uses the last of a
+  line's m slots while that line keeps an uncovered cell can never be
+  completed, since no later rectangle may touch that line.  So once the
+  thin side is fixed, a wide class whose lines are on their last use and
+  have an uncovered cell off the thin side is left out, a wide class that
+  meets an uncovered cell of a thin line on its last use is forced in at
+  full length, and the thin side is given up when a forced class cannot
+  join.  Dead children are not counted as nodes.
 * Counting bound, the guarantee theorem's own argument applied at every
   node.  Let t = p-1 and U the uncovered cells; an open line L (one with an
   uncovered cell) has u_L of them and s_L = m - used_L uses left, and
@@ -31,7 +35,11 @@ lines leaves a cover).  On top of that:
   |U| <= t * sum(rectangles charging L).  If u_L > t*s_L, some rectangle
   through L has L on its thin side and charges nothing to L, so at most
   s_L - 1 rectangles charge L.  On the empty grid the bound fires exactly
-  when n > 2(p-1)(m-1) and p <= n: the paper's theorem.
+  when n > 2(p-1)(m-1) and p <= n: the paper's theorem.  Below the root
+  each child is checked from its parent's counts before it is entered: a
+  rectangle changes u_L and s_L only on its own lines, so the child's sum
+  is the parent's plus the change on those lines.  A child that fails
+  counts as one node and one ``counting`` prune and is never entered.
 * Symmetry is broken (after Crawford, Ginsberg, Luks & Roy, KR 1996).
   Two open lines with the same uncovered cells and the same use count are
   interchangeable: swapping them maps the state to itself, so from each
@@ -44,12 +52,12 @@ or INCONCLUSIVE (timeout or node budget hit; never reported as UNSAT).
 
 Practical envelope, measured with ``bench/run.py`` in reference seconds
 (see bench/README.md): the counting bound refutes every guaranteed cell at
-the root, in 1 node, so the 150 cells of ``table --n-max 5`` take 1,189
-nodes and 0.023 s in all.  All 8 ``hot_cells`` cells are decided, in
-1.84 s for the whole pass; the slowest, (6,4,2), (7,3,3) and (7,5,2), are
-SAT in 58,504, 18,257 and 145,544 nodes.  ``threshold_table(7,
-timeout_per_cell=20)`` decides all 392 cells with n <= 7 in about 2.3 raw
-seconds on a 2-core VM.
+the root, in 1 node, so the 150 cells of ``table --n-max 5`` take 582
+nodes in all.  All 8 ``hot_cells`` cells are decided, in about 0.8 s for
+the whole pass; the slowest, (6,4,2), (7,3,3) and (7,5,2), are SAT in
+17,950, 1,824 and 52,291 nodes.  ``threshold_table(7,
+timeout_per_cell=20)`` decides all 392 cells with n <= 7 in about 1 raw
+second on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -57,7 +65,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterator
 
 from .core import Rectangle, RectangleCover, avoidance_threshold, guaranteed_p
@@ -88,6 +95,17 @@ class SearchParams:
 
 @dataclass
 class SearchStats:
+    """Work done by one search.
+
+    ``nodes`` counts every state entered and every child rejected by the
+    counting bound before entry; dead children are never built and not
+    counted.  ``prunes`` maps a reason to how often it fired:
+    ``counting`` (the counting bound, at the root or on a child),
+    ``no_candidates`` (no live rectangle covers the first uncovered cell),
+    ``abort_timeout`` and ``abort_nodes`` (a budget ran out; the verdict
+    is INCONCLUSIVE).  ``millis`` is the wall-clock time of the search.
+    """
+
     nodes: int = 0
     prunes: dict[str, int] = field(default_factory=dict)
     millis: float = 0.0
@@ -116,21 +134,26 @@ class _Abort(Exception):
         self.reason = reason
 
 
-def _classes(keyed_lines) -> list[list[int]]:
-    """Group (key, line) pairs by key; each class lists its lines in the
-    order given."""
-    classes: dict = {}
-    for key, line in keyed_lines:
-        classes.setdefault(key, []).append(line)
-    return list(classes.values())
-
-
-def _prefixes(classes: list[list[int]], low: int, high: int) -> Iterator[tuple[int, ...]]:
+def _prefixes(classes: list[list[int]], low: int, high: int) -> list[tuple[int, ...]]:
     """Every union of one prefix from each class with between ``low`` and
-    ``high`` lines in all, as a sorted tuple."""
-    for lengths in product(*(range(len(cls) + 1) for cls in classes)):
-        if low <= sum(lengths) <= high:
-            yield tuple(sorted(x for cls, k in zip(classes, lengths) for x in cls[:k]))
+    ``high`` lines in all, as a sorted tuple, the first class's prefix
+    length varying slowest.  A partial union that is already at ``high``,
+    or can no longer reach ``low``, is not extended."""
+    rest = sum(map(len, classes))
+    if high < max(low, 0) or low > rest:
+        return []
+    if not high:
+        return [()]  # the thin side's extra lines when p = 2
+    unions: list[tuple[int, ...]] = [()]
+    for cls in classes:
+        rest -= len(cls)
+        grown = []
+        for union in unions:
+            size = len(union)
+            for k in range(max(0, low - size - rest), min(len(cls), high - size) + 1):
+                grown.append(union + tuple(cls[:k]))
+        unions = grown
+    return [tuple(sorted(union)) for union in unions]
 
 
 class _Searcher:
@@ -143,6 +166,9 @@ class _Searcher:
         self.col_mask = [
             sum(1 << (r * n + c) for r in range(n)) for c in range(n)
         ]
+        # cap[s][u]: cap_L of a line with s uses left and u uncovered cells
+        t = p - 1
+        self.cap = [[(s - (u > t * s)) if u else 0 for u in range(n + 1)] for s in range(m + 1)]
         self.deadline = deadline
         self.node_limit = node_limit
         self.nodes = 0
@@ -159,9 +185,8 @@ class _Searcher:
 
         The state must be live: every line with an uncovered cell has a use
         left.  A child that would leave a line with no use left and an
-        uncovered cell is dead; it is dropped here and counted as one node
-        and one ``dead_line`` prune."""
-        n, m, thin_cap = self.n, self.m, self.p - 1
+        uncovered cell is dead, and is never built (module docstring)."""
+        n, last, thin_cap = self.n, self.m - 1, self.p - 1
         row_mask, col_mask = self.row_mask, self.col_mask
         uncov = ~covered & self.full
         r0, c0 = divmod((uncov & -uncov).bit_length() - 1, n)
@@ -170,82 +195,109 @@ class _Searcher:
         # use count are interchangeable: swapping two of them maps the state
         # to itself.  So from each class of them a candidate takes a prefix,
         # lowest index first (r0 and c0 are the lowest of their classes).
-        row_classes = _classes(
-            (((uncov & row_mask[r]) >> (r * n), row_used[r]), r)
-            for r in range(r0 + 1, n)
-            if uncov & row_mask[r]
-        )
-        col_classes = _classes(
-            (((uncov & col_mask[c]) >> c, col_used[c]), c)
-            for c in range(n)
-            if c != c0 and uncov & col_mask[c]
-        )
-        # (rows, columns other than c0, rows_mask, cols_mask)
+        row_classes: dict[tuple[int, int], list[int]] = {}
+        for r in range(r0 + 1, n):
+            line = uncov & row_mask[r]
+            if line:
+                row_classes.setdefault((line >> (r * n), row_used[r]), []).append(r)
+        col_classes: dict[tuple[int, int], list[int]] = {}
+        for c in range(n):
+            line = uncov & col_mask[c]
+            if line and c != c0:
+                col_classes.setdefault((line >> c, col_used[c]), []).append(c)
+        rows = (r0, list(row_classes.values()), row_mask, row_used)
+        cols = (c0, list(col_classes.values()), col_mask, col_used)
         found = []
-        # rows are the thin side: at most p-1 of them, any columns
-        for extra in _prefixes(row_classes, 0, thin_cap - 1):
-            rows_mask = row_mask[r0]
-            for r in extra:
-                rows_mask |= row_mask[r]
-            live = uncov & rows_mask
-            useful = [cls for cls in col_classes if live & col_mask[cls[0]]]
-            for ecols in _prefixes(useful, 0, n):
-                cols_mask = col_mask[c0]
-                for c in ecols:
-                    cols_mask |= col_mask[c]
-                new = live & cols_mask
-                if all(new & row_mask[r] for r in extra):
-                    found.append(((r0,) + extra, ecols, rows_mask, cols_mask))
-        # columns are the thin side under more than p-1 rows
-        for ecols in _prefixes(col_classes, 0, thin_cap - 1):
-            cols_mask = col_mask[c0]
-            for c in ecols:
-                cols_mask |= col_mask[c]
-            live = uncov & cols_mask
-            useful = [cls for cls in row_classes if live & row_mask[cls[0]]]
-            for extra in _prefixes(useful, thin_cap, n):
-                rows_mask = row_mask[r0]
-                for r in extra:
-                    rows_mask |= row_mask[r]
-                new = live & rows_mask
-                if all(new & col_mask[c] for c in ecols):
-                    found.append(((r0,) + extra, ecols, rows_mask, cols_mask))
-        last_rows = sum(row_mask[r] for r in range(r0, n) if row_used[r] == m - 1)
-        last_cols = sum(col_mask[c] for c in range(n) if col_used[c] == m - 1)
+        # Rows are the thin side (at most p-1 of them, any columns), then
+        # columns are (at most p-1 of them, under at least p rows).  Once
+        # the thin side is fixed, its lines on their last use must be
+        # covered in full: that forces in, at full length, every wide class
+        # meeting their uncovered cells.  A wide line on its last use may
+        # join only if the thin side spans all its uncovered cells.
+        for thin, wide, low in ((rows, cols, 0), (cols, rows, thin_cap)):
+            thin_first, thin_classes, thin_mask, thin_used = thin
+            wide_first, wide_classes, wide_mask, wide_used = wide
+            # the wide side's first line joins every candidate
+            first_left = uncov & wide_mask[wide_first] if wide_used[wide_first] == last else 0
+            for extra in _prefixes(thin_classes, 0, thin_cap - 1):
+                thin_lines = tuple(sorted((thin_first,) + extra))
+                spans = must = 0
+                for x in thin_lines:
+                    spans |= thin_mask[x]
+                    if thin_used[x] == last:
+                        must |= uncov & thin_mask[x]
+                if first_left & ~spans:
+                    continue
+                live = uncov & spans
+                forced, free = [], []
+                for cls in wide_classes:
+                    mask = wide_mask[cls[0]]
+                    if not live & mask:
+                        continue
+                    if wide_used[cls[0]] == last and uncov & mask & ~spans:
+                        if must & mask:
+                            break  # a forced class cannot join: no candidate
+                    elif must & mask:
+                        forced += cls
+                    else:
+                        free.append(cls)
+                else:
+                    for wide_extra in _prefixes(free, low - len(forced), n - len(forced)):
+                        wide_lines = (wide_first,) + wide_extra + tuple(forced)
+                        reach = 0
+                        for y in wide_lines:
+                            reach |= wide_mask[y]
+                        new = live & reach
+                        if all(new & thin_mask[x] for x in extra):
+                            wide_lines = tuple(sorted(wide_lines))
+                            if thin is rows:
+                                found.append((thin_lines, wide_lines, spans & reach))
+                            else:
+                                found.append((wide_lines, thin_lines, spans & reach))
         if not covered:
             # Every candidate on the empty grid is some [0, a) x [0, b), and
             # transposing maps the empty grid to itself, so a <= b suffices.
-            found = [cand for cand in found if len(cand[0]) <= len(cand[1]) + 1]
-        out = []
-        for rows, ecols, rows_mask, cols_mask in found:
-            cell_mask = rows_mask & cols_mask
-            # a line on its last use must be covered in full
-            if uncov & ~cell_mask & (rows_mask & last_rows | cols_mask & last_cols):
-                continue
-            cols = tuple(sorted((c0,) + ecols))
-            out.append((min(len(rows), len(cols)), -len(rows) * len(cols), rows, cols, cell_mask))
-        dead = len(found) - len(out)
-        if dead:
-            self.nodes += dead
-            self.prunes["dead_line"] += dead
-        out.sort()
-        return [(rows, cols, cell_mask) for _, _, rows, cols, cell_mask in out]
+            found = [cand for cand in found if len(cand[0]) <= len(cand[1])]
+        found.sort(key=lambda cand: (
+            min(len(cand[0]), len(cand[1])), -len(cand[0]) * len(cand[1]), cand[0], cand[1]
+        ))
+        return found
+
+    def line_caps(
+        self, uncov: int, row_used: list[int], col_used: list[int]
+    ) -> tuple[list[int], list[int]]:
+        """u_L and cap_L (module docstring) of every row, then every column;
+        cap_L is 0 on a line with no uncovered cell."""
+        cap, m = self.cap, self.m
+        counts = [(uncov & mask).bit_count() for mask in self.row_mask]
+        counts += [(uncov & mask).bit_count() for mask in self.col_mask]
+        caps = [cap[m - used][u] for used, u in zip(row_used + col_used, counts)]
+        return counts, caps
+
+    def within_bound(self, uncovered: int, cap: int) -> bool:
+        """The counting bound: False when ``uncovered`` cells are more than
+        p-1 times the caps' sum ``cap``.  The node check and the per-child
+        check both come through here."""
+        return uncovered <= (self.p - 1) * cap
 
     def room_left(self, covered: int, row_used: list[int], col_used: list[int]) -> bool:
-        """False when the counting bound (module docstring) shows that the
-        uncovered cells cannot all be covered with the uses left."""
+        """False when the counting bound shows that the uncovered cells
+        cannot all be covered with the uses left.  ``dfs`` makes the same
+        check from the per-line counts it keeps for its children."""
         uncov = ~covered & self.full
-        t, m = self.p - 1, self.m
-        cap = 0
-        for masks, used in ((self.row_mask, row_used), (self.col_mask, col_used)):
-            for mask, count in zip(masks, used):
-                u = (uncov & mask).bit_count()
-                if u:
-                    left = m - count
-                    cap += left - (u > t * left)
-        return uncov.bit_count() <= t * cap
+        _, caps = self.line_caps(uncov, row_used, col_used)
+        return self.within_bound(uncov.bit_count(), sum(caps))
 
     # -- depth-first search ---------------------------------------------
+
+    def count_node(self) -> None:
+        """Count one node, entered or pruned before entry, against the
+        node and wall-clock budgets."""
+        self.nodes += 1
+        if self.node_limit is not None and self.nodes > self.node_limit:
+            raise _Abort("nodes")
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _Abort("timeout")
 
     def dfs(
         self,
@@ -254,21 +306,35 @@ class _Searcher:
         col_used: list[int],
         chosen: list[tuple[tuple[int, ...], tuple[int, ...]]],
     ) -> bool:
-        self.nodes += 1
-        if self.node_limit is not None and self.nodes > self.node_limit:
-            raise _Abort("nodes")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _Abort("timeout")
+        self.count_node()
         if covered == self.full:
             self.witness = list(chosen)
             return True
-        if not self.room_left(covered, row_used, col_used):
+        uncov = ~covered & self.full
+        uncovered = uncov.bit_count()
+        counts, caps = self.line_caps(uncov, row_used, col_used)
+        total = sum(caps)
+        if not self.within_bound(uncovered, total):
             self.prunes["counting"] += 1
             return False
         cands = self.candidates(covered, row_used, col_used)
         if not cands:
             self.prunes["no_candidates"] += 1
+        n, m, cap, row_mask, col_mask = self.n, self.m, self.cap, self.row_mask, self.col_mask
         for rows, cols, cell_mask in cands:
+            # the child's bound: only the lines of its rectangle change
+            new = uncov & cell_mask
+            gain = 0
+            for r in rows:
+                left = counts[r] - (new & row_mask[r]).bit_count()
+                gain += cap[m - 1 - row_used[r]][left] - caps[r]
+            for c in cols:
+                left = counts[n + c] - (new & col_mask[c]).bit_count()
+                gain += cap[m - 1 - col_used[c]][left] - caps[n + c]
+            if not self.within_bound(uncovered - new.bit_count(), total + gain):
+                self.count_node()
+                self.prunes["counting"] += 1
+                continue
             for r in rows:
                 row_used[r] += 1
             for c in cols:
@@ -332,7 +398,9 @@ def threshold_table(
     node_limit: int | None = None,
 ) -> Iterator[TableRow]:
     """Sweep all cells (n, m, p) up to the given maxima, yielding one row per
-    cell as it is decided.
+    cell as it is decided.  The maxima and budgets are checked at the call,
+    before any row is asked for: each maximum must be at least 1, and each
+    budget given must be positive, else ``ValueError``.
 
     ``regime`` classifies each cell against the closed-form bounds:
     guaranteed (p <= guaranteed_p(n, m): every valid coloring contains a
@@ -340,33 +408,40 @@ def threshold_table(
     (p > ceil(n/m): the mod-m construction avoids, so SAT), or open (the
     search is the tie-breaker).
     """
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
     if m_max is None:
         m_max = n_max
     if p_max is None:
         p_max = n_max + 1
-    for n in range(1, n_max + 1):
-        for m in range(1, m_max + 1):
-            for p in range(1, p_max + 1):
-                if p <= guaranteed_p(n, m):
-                    regime = "guaranteed"
-                elif p > avoidance_threshold(n, m):
-                    regime = "avoidable"
-                else:
-                    regime = "open"
-                outcome = search_avoiding(
-                    SearchParams(n, m, p, timeout=timeout_per_cell, node_limit=node_limit)
-                )
-                yield TableRow(
-                    n=n,
-                    m=m,
-                    p=p,
-                    regime=regime,
-                    verdict=outcome.verdict,
-                    nodes=outcome.stats.nodes,
-                    millis=outcome.stats.millis,
-                )
+    for name, value in (("n_max", n_max), ("m_max", m_max), ("p_max", p_max)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive")
+    # the budgets are checked by SearchParams; do that here too, not per cell
+    SearchParams(1, 1, 1, timeout=timeout_per_cell, node_limit=node_limit)
+    return (
+        _table_row(n, m, p, timeout_per_cell, node_limit)
+        for n in range(1, n_max + 1)
+        for m in range(1, m_max + 1)
+        for p in range(1, p_max + 1)
+    )
+
+
+def _table_row(n: int, m: int, p: int, timeout: float | None, node_limit: int | None) -> TableRow:
+    if p <= guaranteed_p(n, m):
+        regime = "guaranteed"
+    elif p > avoidance_threshold(n, m):
+        regime = "avoidable"
+    else:
+        regime = "open"
+    outcome = search_avoiding(SearchParams(n, m, p, timeout=timeout, node_limit=node_limit))
+    return TableRow(
+        n=n,
+        m=m,
+        p=p,
+        regime=regime,
+        verdict=outcome.verdict,
+        nodes=outcome.stats.nodes,
+        millis=outcome.stats.millis,
+    )
 
 
 CSV_HEADER = "n,m,p,regime,verdict,nodes,millis"

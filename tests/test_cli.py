@@ -241,6 +241,15 @@ def test_table_streams_csv(capsys):
         assert fields[4] in {"SAT", "UNSAT", "INCONCLUSIVE"}
 
 
+def test_table_limits_below_one_are_usage_errors(capsys):
+    # checked before the CSV header is printed
+    for limits in (["--n-max", "0"], ["--n-max", "-3"], ["--n-max", "2", "--m-max", "0"],
+                   ["--n-max", "2", "--p-max", "0"], ["--n-max", "2", "--m-max", "-1"],
+                   ["--n-max", "2", "--timeout-sec", "0"]):
+        assert run(["table", *limits]) == 64
+        assert capsys.readouterr().out == ""
+
+
 def test_module_entry_point_pipe():
     gen = subprocess.run(
         [sys.executable, "-m", "shufflecover", "generate", "--kind", "recursive", "--k", "2"],

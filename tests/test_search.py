@@ -10,7 +10,7 @@ refutes every guaranteed cell.
 
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -30,7 +30,7 @@ from shufflecover import (
     table_row_csv,
     threshold_table,
 )
-from shufflecover.search import _Searcher
+from shufflecover.search import _Searcher, _prefixes
 
 
 # threshold_table(5) verdicts for p = 1..6, by (n, m); S = SAT, U = UNSAT
@@ -153,6 +153,16 @@ def test_sat_verdicts_monotone_in_m():
             sat_seen = verdict == SAT
 
 
+def test_threshold_table_checks_limits_at_call():
+    # raised before any row is asked for, so a caller prints nothing first
+    for args in ((0,), (-1,), (3, 0), (3, -1), (3, None, 0), (3, 2, -2)):
+        with pytest.raises(ValueError):
+            threshold_table(*args)
+    for budget in ({"timeout_per_cell": 0}, {"node_limit": 0}):
+        with pytest.raises(ValueError):
+            threshold_table(3, **budget)
+
+
 def test_threshold_table_matches_regimes():
     rows = list(threshold_table(3))
     # every cell up to (3, 3, 4) exactly once
@@ -185,14 +195,15 @@ def _subsets_with(first, others):
 
 
 def reference_candidates(n, m, p, covered, row_used, col_used):
-    """Every rectangle through the first uncovered cell whose thin side is
-    at most p-1 and whose every line brings an uncovered cell, by brute
-    force and without symmetry breaking, split into (live, dead)."""
+    """Every live rectangle through the first uncovered cell whose thin
+    side is at most p-1 and whose every line brings an uncovered cell, by
+    brute force and without symmetry breaking.  A rectangle is dead when it
+    uses a line's last slot while that line keeps an uncovered cell."""
     holes = {(r, c) for r in range(n) for c in range(n) if not covered >> (r * n + c) & 1}
     r0, c0 = min(holes)
     open_rows = sorted({r for r, _ in holes} - {r0})
     open_cols = sorted({c for _, c in holes} - {c0})
-    live, dead = [], []
+    live = []
     for rows in _subsets_with(r0, open_rows):
         for cols in _subsets_with(c0, open_cols):
             if min(len(rows), len(cols)) > p - 1:
@@ -203,13 +214,12 @@ def reference_candidates(n, m, p, covered, row_used, col_used):
             if any(not any(c == y for _, y in new) for c in cols):
                 continue
             rest = holes - new
-            if any(row_used[r] + 1 == m and any(x == r for x, _ in rest) for r in rows) or any(
+            dead = any(row_used[r] + 1 == m and any(x == r for x, _ in rest) for r in rows) or any(
                 col_used[c] + 1 == m and any(y == c for _, y in rest) for c in cols
-            ):
-                dead.append((rows, cols))
-            else:
+            )
+            if not dead:
                 live.append((rows, cols))
-    return live, dead
+    return live
 
 
 def canonical(rect, n, covered, row_used, col_used):
@@ -235,27 +245,19 @@ def canonical(rect, n, covered, row_used, col_used):
     return squeeze(rows, row_key), squeeze(cols, col_key)
 
 
-def test_candidates_match_brute_force_up_to_symmetry():
-    # random walks through the cover space; at every state the generator
-    # must return exactly one representative of each class of equivalent
-    # live rectangles, sorted thin side first, then by area, and count one
-    # dead_line node per class of equivalent dead ones
-    rng = random.Random(20240601)
+def walk_states(seed, count, n_max):
+    """States (n, m, p, covered, row_used, col_used) along random walks
+    through the cover space, each step a random live rectangle; a new walk
+    starts while fewer than ``count`` states have been given."""
+    rng = random.Random(seed)
     states = 0
-    while states < 300:
-        n, m, p = rng.randint(2, 5), rng.randint(1, 3), rng.randint(2, 4)
+    while states < count:
+        n, m, p = rng.randint(2, n_max), rng.randint(1, 3), rng.randint(2, 4)
         covered, row_used, col_used = 0, [0] * n, [0] * n
         while covered != (1 << (n * n)) - 1:
-            searcher = _Searcher(n, m, p, None, None)
-            got = searcher.candidates(covered, row_used, col_used)
-            ref, dead = reference_candidates(n, m, p, covered, row_used, col_used)
-            want = {canonical(rect, n, covered, row_used, col_used) for rect in ref}
-            assert [(rows, cols) for rows, cols, _ in got] == sorted(
-                want, key=lambda rc: (min(map(len, rc)), -len(rc[0]) * len(rc[1]), rc)
-            ), (n, m, p, covered, row_used, col_used)
-            dead_classes = {canonical(rect, n, covered, row_used, col_used) for rect in dead}
-            assert searcher.nodes == searcher.prunes["dead_line"] == len(dead_classes)
+            yield n, m, p, covered, list(row_used), list(col_used)
             states += 1
+            ref = reference_candidates(n, m, p, covered, row_used, col_used)
             if not ref:
                 break
             rows, cols = rng.choice(ref)
@@ -265,6 +267,57 @@ def test_candidates_match_brute_force_up_to_symmetry():
                     covered |= 1 << (r * n + c)
             for c in cols:
                 col_used[c] += 1
+
+
+def test_candidates_match_brute_force_up_to_symmetry():
+    # at every state the generator must return exactly one representative
+    # of each class of equivalent live rectangles, sorted thin side first,
+    # then by area, and never build (or count) a dead one
+    for n, m, p, covered, row_used, col_used in walk_states(20240601, 300, 5):
+        searcher = _Searcher(n, m, p, None, None)
+        got = searcher.candidates(covered, row_used, col_used)
+        ref = reference_candidates(n, m, p, covered, row_used, col_used)
+        want = {canonical(rect, n, covered, row_used, col_used) for rect in ref}
+        assert [(rows, cols) for rows, cols, _ in got] == sorted(
+            want, key=lambda rc: (min(map(len, rc)), -len(rc[0]) * len(rc[1]), rc)
+        ), (n, m, p, covered, row_used, col_used)
+        assert searcher.nodes == 0
+        assert "dead_line" not in searcher.prunes
+
+
+def test_prefixes_match_product_definition():
+    # the size-bounded enumeration yields what filtering the whole product
+    # of prefix lengths yields, in the same order
+    rng = random.Random(20240604)
+    for _ in range(200):
+        lines = rng.sample(range(12), rng.randint(0, 8))
+        cuts = sorted(rng.sample(range(1, len(lines)), rng.randint(0, max(0, len(lines) - 1))))
+        classes = [lines[i:j] for i, j in zip([0] + cuts, cuts + [len(lines)]) if i < j]
+        for low in range(-1, len(lines) + 2):
+            for high in range(low, len(lines) + 2):
+                want = [
+                    tuple(sorted(x for cls, k in zip(classes, lengths) for x in cls[:k]))
+                    for lengths in product(*(range(len(cls) + 1) for cls in classes))
+                    if low <= sum(lengths) <= high
+                ]
+                assert _prefixes(classes, low, high) == want, (classes, low, high)
+
+
+@pytest.mark.parametrize(
+    "cell, nodes, prunes",
+    [
+        ((6, 4, 2), 17950, {"counting": 11523, "no_candidates": 1463}),
+        ((7, 3, 3), 1824, {"counting": 1538, "no_candidates": 141}),
+    ],
+    ids=["6,4,2", "7,3,3"],
+)
+def test_search_order_pinned(cell, nodes, prunes):
+    # node and prune counts lock the DFS order, and with it the certificate
+    out = run(*cell)
+    assert out.verdict == SAT
+    assert_certificate(out, *cell)
+    assert out.stats.nodes == nodes
+    assert out.stats.prunes == prunes
 
 
 def test_table_row_csv_shape():
@@ -295,7 +348,8 @@ def test_counting_bound_at_root_is_the_theorem():
 def test_n5_verdicts_without_counting_bound(monkeypatch):
     # UNSAT verdicts rest on the bound; with it off the exhaustive search
     # alone must still reach every pinned verdict
-    monkeypatch.setattr(_Searcher, "room_left", lambda self, *state: True)
+    # one switch turns off both the node check and the per-child check
+    monkeypatch.setattr(_Searcher, "within_bound", lambda self, *counts: True)
     for (n, m), verdicts in N5_VERDICTS.items():
         for p, letter in enumerate(verdicts, start=1):
             out = run(n, m, p)
@@ -304,32 +358,49 @@ def test_n5_verdicts_without_counting_bound(monkeypatch):
 
 
 def test_counting_bound_prunes_only_dead_states():
-    # random walks through the cover space as in the candidate test; at
-    # every state the bound rejects, the search with the bound off must
+    # at every state the bound rejects, the search with the bound off must
     # find no completion
-    rng = random.Random(20240602)
-    states = fired = 0
-    while states < 400:
-        n, m, p = rng.randint(2, 4), rng.randint(1, 3), rng.randint(2, 4)
-        covered, row_used, col_used = 0, [0] * n, [0] * n
-        while covered != (1 << (n * n)) - 1:
-            states += 1
-            if not _Searcher(n, m, p, None, None).room_left(covered, row_used, col_used):
-                fired += covered != 0
-                unbounded = _Searcher(n, m, p, None, None)
-                unbounded.room_left = lambda *state: True
-                assert not unbounded.dfs(covered, list(row_used), list(col_used), []), (
-                    n, m, p, covered, row_used, col_used
-                )
-            ref, _ = reference_candidates(n, m, p, covered, row_used, col_used)
-            if not ref:
-                break
-            rows, cols = rng.choice(ref)
-            for r in rows:
-                row_used[r] += 1
-                for c in cols:
-                    covered |= 1 << (r * n + c)
-            for c in cols:
-                col_used[c] += 1
+    fired = 0
+    for n, m, p, covered, row_used, col_used in walk_states(20240602, 400, 4):
+        if not _Searcher(n, m, p, None, None).room_left(covered, row_used, col_used):
+            fired += covered != 0
+            unbounded = _Searcher(n, m, p, None, None)
+            unbounded.within_bound = lambda *counts: True
+            assert not unbounded.dfs(covered, row_used, col_used, []), (
+                n, m, p, covered, row_used, col_used
+            )
     # the bound fires below the root often enough for this to test it
     assert fired >= 20
+
+
+def test_child_check_agrees_with_room_left():
+    # the per-child check, made from the parent's counts, must enter exactly
+    # the candidates whose child state passes room_left, in order, and count
+    # each other one as a node and a counting prune
+    rejected = 0
+    for n, m, p, covered, row_used, col_used in walk_states(20240603, 1000, 5):
+        if not _Searcher(n, m, p, None, None).room_left(covered, row_used, col_used):
+            continue
+        want, fails = [], 0
+        for rows, cols, cell_mask in _Searcher(n, m, p, None, None).candidates(
+            covered, row_used, col_used
+        ):
+            child = (
+                covered | cell_mask,
+                [k + (r in rows) for r, k in enumerate(row_used)],
+                [k + (c in cols) for c, k in enumerate(col_used)],
+            )
+            if _Searcher(n, m, p, None, None).room_left(*child):
+                want.append(child)
+            else:
+                fails += 1
+        searcher = _Searcher(n, m, p, None, None)
+        entered = []
+        searcher.dfs = lambda *child: entered.append((child[0], list(child[1]), list(child[2])))
+        assert not _Searcher.dfs(searcher, covered, row_used, col_used, [])
+        assert entered == want, (n, m, p, covered, row_used, col_used)
+        assert searcher.nodes == 1 + fails
+        assert searcher.prunes["counting"] == fails
+        rejected += fails
+    # children fail the bound often enough for this to test it
+    assert rejected >= 50
