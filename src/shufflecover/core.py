@@ -37,6 +37,19 @@ class NotShufflePreserved(ValueError):
 # ---------------------------------------------------------------------------
 # value types
 
+COLOR_IDS = "color ids must be non-negative integers, got {!r}"
+
+
+def check_ints(message: str, *values: object, low: int = 0) -> None:
+    """Raise ``ValueError(message)`` unless every value is an int (a bool is
+    not) of at least ``low``: the one check on the ids and sizes an input
+    brings.  A ``{!r}`` in ``message`` becomes the offending value."""
+    for value in values:
+        # an exact int, the common case, skips both isinstance calls
+        not_int = type(value) is not int and (isinstance(value, bool) or not isinstance(value, int))
+        if not_int or value < low:
+            raise ValueError(message.format(value))
+
 
 @dataclass(frozen=True)
 class ColorMatrix:
@@ -55,9 +68,7 @@ class ColorMatrix:
         for row in cells:
             if len(row) != width:
                 raise ValueError("ragged matrix rows")
-            for value in row:
-                if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                    raise ValueError(f"color ids must be non-negative integers, got {value!r}")
+            check_ints(COLOR_IDS, *row)
 
     @property
     def n_rows(self) -> int:
@@ -82,13 +93,10 @@ class Rectangle:
     def __post_init__(self):
         object.__setattr__(self, "rows", frozenset(self.rows))
         object.__setattr__(self, "cols", frozenset(self.cols))
-        if not isinstance(self.color, int) or isinstance(self.color, bool) or self.color < 0:
-            raise ValueError(f"color ids must be non-negative integers, got {self.color!r}")
+        check_ints(COLOR_IDS, self.color)
         if not self.rows or not self.cols:
             raise ValueError("rectangle sides must be nonempty")
-        for idx in self.rows | self.cols:
-            if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
-                raise ValueError(f"indices must be non-negative integers, got {idx!r}")
+        check_ints("indices must be non-negative integers, got {!r}", *self.rows, *self.cols)
 
     @property
     def min_side(self) -> int:
@@ -114,8 +122,7 @@ class RectangleCover:
 
     def __post_init__(self):
         object.__setattr__(self, "rectangles", tuple(self.rectangles))
-        if self.n_rows < 1 or self.n_cols < 1:
-            raise ValueError("cover dimensions must be positive")
+        check_ints("cover dimensions must be positive", self.n_rows, self.n_cols, low=1)
         seen: set[int] = set()
         for rect in self.rectangles:
             if rect.color in seen:
@@ -223,15 +230,14 @@ class KPartiteCover:
     pairs: tuple[tuple[int, int, tuple[Rectangle, ...]], ...]
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("need at least two parts")
-        if self.n < 1:
-            raise ValueError("parts must be nonempty")
+        check_ints("need at least two parts", self.k, low=2)
+        check_ints("parts must be nonempty", self.n, low=1)
         canon = []
         seen_pairs = set()
         for a, b, rects in self.pairs:
             if not (0 <= a < b < self.k):
                 raise ValueError(f"bad part pair ({a}, {b})")
+            check_ints("part ids must be integers, got {!r}", a, b)
             if (a, b) in seen_pairs:
                 raise ValueError(f"duplicate part pair ({a}, {b})")
             seen_pairs.add((a, b))

@@ -21,6 +21,7 @@ from itertools import combinations
 from typing import Iterable, Union
 
 from .core import (
+    COLOR_IDS,
     ColorMatrix,
     KPartiteCover,
     KPartiteWitness,
@@ -28,6 +29,7 @@ from .core import (
     RectangleCover,
     Witness,
     check_kpartite_coverage,
+    check_ints,
     validate_kpartite,
 )
 
@@ -48,21 +50,21 @@ class CliqueFamily:
     cliques: tuple[tuple[int, frozenset[int]], ...]
 
     def __post_init__(self):
-        if self.n_vertices < 1:
-            raise ValueError("need at least one vertex")
+        check_ints("need at least one vertex", self.n_vertices, low=1)
         canon = []
         seen = set()
         for color, vertices in self.cliques:
-            if not isinstance(color, int) or isinstance(color, bool) or color < 0:
-                raise ValueError(f"color ids must be non-negative integers, got {color!r}")
+            check_ints(COLOR_IDS, color)
             if color in seen:
                 raise ValueError(f"duplicate color {color}")
             seen.add(color)
             vertices = frozenset(vertices)
             if not vertices:
                 raise ValueError(f"clique for color {color} is empty")
-            if not all(isinstance(v, int) and 0 <= v < self.n_vertices for v in vertices):
-                raise ValueError(f"clique for color {color} has out-of-range vertices")
+            out_of_range = f"clique for color {color} has out-of-range vertices"
+            check_ints(out_of_range, *vertices)
+            if max(vertices) >= self.n_vertices:
+                raise ValueError(out_of_range)
             canon.append((color, vertices))
         canon.sort(key=lambda e: e[0])
         object.__setattr__(self, "cliques", tuple(canon))

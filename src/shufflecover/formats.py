@@ -113,15 +113,13 @@ def kpartite_from_obj(obj: Any) -> KPartiteCover:
     if not isinstance(obj, dict) or not {"k", "n", "pairs"} <= set(obj):
         raise FormatError("k-partite objects need k, n, pairs")
     try:
-        pairs = tuple(
-            (
-                entry["parts"][0],
-                entry["parts"][1],
-                tuple(_rectangle_from_obj(r) for r in entry["rectangles"]),
-            )
-            for entry in obj["pairs"]
-        )
-        return KPartiteCover(k=obj["k"], n=obj["n"], pairs=pairs)
+        pairs = []
+        for entry in obj["pairs"]:
+            parts = entry["parts"]
+            if not isinstance(parts, list) or len(parts) != 2:
+                raise FormatError(f"k-partite parts must be a pair of part ids, got {parts!r}")
+            pairs.append((*parts, tuple(_rectangle_from_obj(r) for r in entry["rectangles"])))
+        return KPartiteCover(k=obj["k"], n=obj["n"], pairs=tuple(pairs))
     except (LookupError, TypeError, ValueError) as exc:
         if isinstance(exc, FormatError):
             raise

@@ -23,23 +23,24 @@ lines leaves a cover).  On top of that:
   meets an uncovered cell of a thin line on its last use is forced in at
   full length, and the thin side is given up when a forced class cannot
   join.  Dead children are not counted as nodes.
-* Counting bound, the guarantee theorem's own argument applied at every
-  node.  Let t = p-1 and U the uncovered cells; an open line L (one with an
-  uncovered cell) has u_L of them and s_L = m - used_L uses left, and
-  cap_L = s_L - [u_L > t*s_L].  No completion exists when
-  |U| > t * sum(cap_L over open L).  Proof: shrink a completion so that its
-  rectangles touch only open lines.  Call a rectangle row-thin if it has at
-  most t rows, else column-thin, and charge each cell of U to one rectangle
-  covering it: to that rectangle's column if it is row-thin, to its row if
-  it is column-thin.  A rectangle takes at most t charges on any line, so
-  |U| <= t * sum(rectangles charging L).  If u_L > t*s_L, some rectangle
-  through L has L on its thin side and charges nothing to L, so at most
-  s_L - 1 rectangles charge L.  On the empty grid the bound fires exactly
-  when n > 2(p-1)(m-1) and p <= n: the paper's theorem.  Below the root
-  each child is checked from its parent's counts before it is entered: a
-  rectangle changes u_L and s_L only on its own lines, so the child's sum
-  is the parent's plus the change on those lines.  A child that fails
-  counts as one node and one ``counting`` prune and is never entered.
+* Counting bound, the guarantee theorem's own argument, checked at the root
+  and on each child before it is entered.  Let t = p-1 and U the uncovered
+  cells; an open line L (one with an uncovered cell) has u_L of them and
+  s_L = m - used_L uses left, and cap_L = s_L - [u_L > t*s_L].  No
+  completion exists when |U| > t * sum(cap_L over open L).  Proof: shrink a
+  completion so that its rectangles touch only open lines.  Call a
+  rectangle row-thin if it has at most t rows, else column-thin, and charge
+  each cell of U to one rectangle covering it: to that rectangle's column
+  if it is row-thin, to its row if it is column-thin.  A rectangle takes at
+  most t charges on any line, so |U| <= t * sum(rectangles charging L).  If
+  u_L > t*s_L, some rectangle through L has L on its thin side and charges
+  nothing to L, so at most s_L - 1 rectangles charge L.  On the empty grid
+  the bound fires exactly when n > 2(p-1)(m-1) and p <= n: the paper's
+  theorem.  Each child is checked from its parent's counts: a rectangle
+  changes u_L and s_L only on its own lines, so the child's sum is the
+  parent's plus the change on those lines.  The check is exact, so every
+  state entered has passed it.  A state that fails counts as one node and
+  one ``counting`` prune and is never entered.
 * Symmetry is broken (after Crawford, Ginsberg, Luks & Roy, KR 1996).
   Two open lines with the same uncovered cells and the same use count are
   interchangeable: swapping them maps the state to itself, so from each
@@ -162,10 +163,11 @@ class _Searcher:
         self.m = m
         self.p = p
         self.full = (1 << (n * n)) - 1
-        self.row_mask = [((1 << n) - 1) << (r * n) for r in range(n)]
-        self.col_mask = [
-            sum(1 << (r * n + c) for r in range(n)) for c in range(n)
-        ]
+        # Lines 0..n-1 are the rows and n..2n-1 the columns; shifting a
+        # line's cells down by shift[x] aligns it with the rest of its side.
+        self.mask = [((1 << n) - 1) << (r * n) for r in range(n)]
+        self.mask += [sum(1 << (r * n + c) for r in range(n)) for c in range(n)]
+        self.shift = [r * n for r in range(n)] + list(range(n))
         # cap[s][u]: cap_L of a line with s uses left and u uncovered cells
         t = p - 1
         self.cap = [[(s - (u > t * s)) if u else 0 for u in range(n + 1)] for s in range(m + 1)]
@@ -178,35 +180,32 @@ class _Searcher:
     # -- candidate enumeration ------------------------------------------
 
     def candidates(
-        self, covered: int, row_used: list[int], col_used: list[int]
+        self, covered: int, used: list[int]
     ) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
         """All live canonical rectangles through the first uncovered cell,
-        as (rows, cols, cell_mask), thin-side-first.
+        as (rows, cols, cell_mask), thin-side-first.  ``used`` and ``cols``
+        index lines: columns are lines n..2n-1.
 
         The state must be live: every line with an uncovered cell has a use
         left.  A child that would leave a line with no use left and an
         uncovered cell is dead, and is never built (module docstring)."""
         n, last, thin_cap = self.n, self.m - 1, self.p - 1
-        row_mask, col_mask = self.row_mask, self.col_mask
+        mask, shift = self.mask, self.shift
         uncov = ~covered & self.full
         r0, c0 = divmod((uncov & -uncov).bit_length() - 1, n)
+        c0 += n
         # Rows above r0 are covered, and a line joins only if it brings an
         # uncovered cell.  Lines with the same uncovered cells and the same
         # use count are interchangeable: swapping two of them maps the state
         # to itself.  So from each class of them a candidate takes a prefix,
         # lowest index first (r0 and c0 are the lowest of their classes).
-        row_classes: dict[tuple[int, int], list[int]] = {}
-        for r in range(r0 + 1, n):
-            line = uncov & row_mask[r]
-            if line:
-                row_classes.setdefault((line >> (r * n), row_used[r]), []).append(r)
-        col_classes: dict[tuple[int, int], list[int]] = {}
-        for c in range(n):
-            line = uncov & col_mask[c]
-            if line and c != c0:
-                col_classes.setdefault((line >> c, col_used[c]), []).append(c)
-        rows = (r0, list(row_classes.values()), row_mask, row_used)
-        cols = (c0, list(col_classes.values()), col_mask, col_used)
+        classes: tuple[dict, dict] = ({}, {})
+        for x in range(r0 + 1, 2 * n):
+            line = uncov & mask[x]
+            if line and x != c0:
+                classes[x >= n].setdefault((line >> shift[x], used[x]), []).append(x)
+        rows = (r0, list(classes[0].values()))
+        cols = (c0, list(classes[1].values()))
         found = []
         # Rows are the thin side (at most p-1 of them, any columns), then
         # columns are (at most p-1 of them, under at least p rows).  Once
@@ -215,29 +214,29 @@ class _Searcher:
         # meeting their uncovered cells.  A wide line on its last use may
         # join only if the thin side spans all its uncovered cells.
         for thin, wide, low in ((rows, cols, 0), (cols, rows, thin_cap)):
-            thin_first, thin_classes, thin_mask, thin_used = thin
-            wide_first, wide_classes, wide_mask, wide_used = wide
+            thin_first, thin_classes = thin
+            wide_first, wide_classes = wide
             # the wide side's first line joins every candidate
-            first_left = uncov & wide_mask[wide_first] if wide_used[wide_first] == last else 0
+            first_left = uncov & mask[wide_first] if used[wide_first] == last else 0
             for extra in _prefixes(thin_classes, 0, thin_cap - 1):
                 thin_lines = tuple(sorted((thin_first,) + extra))
                 spans = must = 0
                 for x in thin_lines:
-                    spans |= thin_mask[x]
-                    if thin_used[x] == last:
-                        must |= uncov & thin_mask[x]
+                    spans |= mask[x]
+                    if used[x] == last:
+                        must |= uncov & mask[x]
                 if first_left & ~spans:
                     continue
                 live = uncov & spans
                 forced, free = [], []
                 for cls in wide_classes:
-                    mask = wide_mask[cls[0]]
-                    if not live & mask:
+                    cls_mask = mask[cls[0]]
+                    if not live & cls_mask:
                         continue
-                    if wide_used[cls[0]] == last and uncov & mask & ~spans:
-                        if must & mask:
+                    if used[cls[0]] == last and uncov & cls_mask & ~spans:
+                        if must & cls_mask:
                             break  # a forced class cannot join: no candidate
-                    elif must & mask:
+                    elif must & cls_mask:
                         forced += cls
                     else:
                         free.append(cls)
@@ -246,9 +245,9 @@ class _Searcher:
                         wide_lines = (wide_first,) + wide_extra + tuple(forced)
                         reach = 0
                         for y in wide_lines:
-                            reach |= wide_mask[y]
+                            reach |= mask[y]
                         new = live & reach
-                        if all(new & thin_mask[x] for x in extra):
+                        if all(new & mask[x] for x in extra):
                             wide_lines = tuple(sorted(wide_lines))
                             if thin is rows:
                                 found.append((thin_lines, wide_lines, spans & reach))
@@ -263,29 +262,26 @@ class _Searcher:
         ))
         return found
 
-    def line_caps(
-        self, uncov: int, row_used: list[int], col_used: list[int]
-    ) -> tuple[list[int], list[int]]:
-        """u_L and cap_L (module docstring) of every row, then every column;
-        cap_L is 0 on a line with no uncovered cell."""
+    def line_caps(self, uncov: int, used: list[int]) -> tuple[list[int], list[int]]:
+        """u_L and cap_L (module docstring) of every line; cap_L is 0 on a
+        line with no uncovered cell."""
         cap, m = self.cap, self.m
-        counts = [(uncov & mask).bit_count() for mask in self.row_mask]
-        counts += [(uncov & mask).bit_count() for mask in self.col_mask]
-        caps = [cap[m - used][u] for used, u in zip(row_used + col_used, counts)]
-        return counts, caps
+        counts = [(uncov & mask).bit_count() for mask in self.mask]
+        return counts, [cap[m - k][u] for k, u in zip(used, counts)]
 
     def within_bound(self, uncovered: int, cap: int) -> bool:
         """The counting bound: False when ``uncovered`` cells are more than
-        p-1 times the caps' sum ``cap``.  The node check and the per-child
+        p-1 times the caps' sum ``cap``.  The root check and the per-child
         check both come through here."""
         return uncovered <= (self.p - 1) * cap
 
-    def room_left(self, covered: int, row_used: list[int], col_used: list[int]) -> bool:
+    def room_left(self, covered: int, used: list[int]) -> bool:
         """False when the counting bound shows that the uncovered cells
-        cannot all be covered with the uses left.  ``dfs`` makes the same
-        check from the per-line counts it keeps for its children."""
+        cannot all be covered with the uses left.  ``search_avoiding`` checks
+        the root with it; ``dfs`` makes the same check on each child from
+        the per-line counts of its parent."""
         uncov = ~covered & self.full
-        _, caps = self.line_caps(uncov, row_used, col_used)
+        _, caps = self.line_caps(uncov, used)
         return self.within_bound(uncov.bit_count(), sum(caps))
 
     # -- depth-first search ---------------------------------------------
@@ -302,51 +298,42 @@ class _Searcher:
     def dfs(
         self,
         covered: int,
-        row_used: list[int],
-        col_used: list[int],
+        used: list[int],
         chosen: list[tuple[tuple[int, ...], tuple[int, ...]]],
     ) -> bool:
+        """Search on from a state that has passed the counting bound."""
         self.count_node()
         if covered == self.full:
             self.witness = list(chosen)
             return True
         uncov = ~covered & self.full
         uncovered = uncov.bit_count()
-        counts, caps = self.line_caps(uncov, row_used, col_used)
+        counts, caps = self.line_caps(uncov, used)
         total = sum(caps)
-        if not self.within_bound(uncovered, total):
-            self.prunes["counting"] += 1
-            return False
-        cands = self.candidates(covered, row_used, col_used)
+        cands = self.candidates(covered, used)
         if not cands:
             self.prunes["no_candidates"] += 1
-        n, m, cap, row_mask, col_mask = self.n, self.m, self.cap, self.row_mask, self.col_mask
+        m, cap, mask = self.m, self.cap, self.mask
         for rows, cols, cell_mask in cands:
             # the child's bound: only the lines of its rectangle change
+            lines = rows + cols
             new = uncov & cell_mask
             gain = 0
-            for r in rows:
-                left = counts[r] - (new & row_mask[r]).bit_count()
-                gain += cap[m - 1 - row_used[r]][left] - caps[r]
-            for c in cols:
-                left = counts[n + c] - (new & col_mask[c]).bit_count()
-                gain += cap[m - 1 - col_used[c]][left] - caps[n + c]
+            for x in lines:
+                left = counts[x] - (new & mask[x]).bit_count()
+                gain += cap[m - 1 - used[x]][left] - caps[x]
             if not self.within_bound(uncovered - new.bit_count(), total + gain):
                 self.count_node()
                 self.prunes["counting"] += 1
                 continue
-            for r in rows:
-                row_used[r] += 1
-            for c in cols:
-                col_used[c] += 1
+            for x in lines:
+                used[x] += 1
             chosen.append((rows, cols))
-            if self.dfs(covered | cell_mask, row_used, col_used, chosen):
+            if self.dfs(covered | cell_mask, used, chosen):
                 return True
             chosen.pop()
-            for r in rows:
-                row_used[r] -= 1
-            for c in cols:
-                col_used[c] -= 1
+            for x in lines:
+                used[x] -= 1
         return False
 
 
@@ -355,7 +342,7 @@ def _witness_cover(n: int, rects: list[tuple[tuple[int, ...], tuple[int, ...]]])
         n_rows=n,
         n_cols=n,
         rectangles=tuple(
-            Rectangle(color=i, rows=frozenset(rows), cols=frozenset(cols))
+            Rectangle(color=i, rows=frozenset(rows), cols=frozenset(c - n for c in cols))
             for i, (rows, cols) in enumerate(rects)
         ),
     )
@@ -374,9 +361,15 @@ def search_avoiding(params: SearchParams) -> SearchOutcome:
     start = time.monotonic()
     deadline = start + params.timeout if params.timeout is not None else None
     searcher = _Searcher(n, params.m, params.p, deadline, params.node_limit)
+    used = [0] * (2 * n)
     witness = None
     try:
-        if searcher.dfs(0, [0] * n, [0] * n, []):
+        if not searcher.room_left(0, used):
+            # the root fails the counting bound: the paper's theorem
+            searcher.count_node()
+            searcher.prunes["counting"] += 1
+            verdict = UNSAT
+        elif searcher.dfs(0, used, []):
             verdict = SAT
             witness = _witness_cover(n, searcher.witness)
         else:

@@ -16,6 +16,8 @@ from shufflecover.cli import run
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_TEXT = "4 4\n1 5 2 2\n1 4 3 4\n8 5 8 7\n6 6 3 7\n"
 FAMILY_TEXT = json.dumps({"n_vertices": 5, "cliques": [{"color": 0, "vertices": [0, 1, 2, 3, 4]}]})
+# child interpreters import the package from src/, as the tests themselves do
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
 def feed(monkeypatch, text: str) -> None:
@@ -112,6 +114,30 @@ def test_missing_file_is_data_error():
     assert run(["validate", "--in", "/no/such/file"]) == 65
 
 
+RECT = {"color": 0, "rows": [0], "cols": [0]}
+
+
+@pytest.mark.parametrize(
+    "obj, argv",
+    [
+        ({"n_rows": 2.5, "n_cols": 2, "rectangles": [RECT]}, ["validate"]),
+        ({"n_rows": 2.5, "n_cols": 2, "rectangles": [RECT]}, ["detect", "--p", "1"]),
+        ({"n_rows": True, "n_cols": 1, "rectangles": [RECT]}, ["validate"]),
+        ({"k": 2, "n": 1.5, "pairs": [{"parts": [0, 1], "rectangles": [RECT]}]}, ["validate"]),
+        ({"k": 2, "n": 1.5, "pairs": [{"parts": [0, 1], "rectangles": [RECT]}]}, ["detect", "--p", "1"]),
+        ({"k": 2, "n": 1, "pairs": [{"parts": [0, 1, 7], "rectangles": [RECT]}]}, ["validate"]),
+        ({"n_vertices": 2, "cliques": [{"color": 0, "vertices": [True]}]}, ["superimposed", "--t", "1"]),
+        ({"n_vertices": 2.5, "cliques": [{"color": 0, "vertices": [0]}]}, ["superimposed", "--t", "1"]),
+    ],
+)
+def test_non_integer_ids_and_sizes_are_data_errors(monkeypatch, capsys, obj, argv):
+    feed(monkeypatch, json.dumps(obj))
+    assert run(argv) == 65
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error:")
+
+
 def test_detect_none_and_witness(monkeypatch, capsys):
     feed(monkeypatch, GOLDEN_TEXT)
     assert run(["detect", "--p", "2"]) == 0
@@ -172,7 +198,7 @@ def test_bound_json(capsys):
     # the same answer through __main__ in a fresh interpreter
     proc = subprocess.run(
         [sys.executable, "-m", "shufflecover", "bound", "--n", "9", "--m", "3"],
-        cwd=ROOT, env=dict(os.environ, PYTHONPATH="src"), capture_output=True, text=True,
+        env=CHILD_ENV, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"guaranteed_p": 3, "avoidance_threshold": 3}
@@ -253,11 +279,11 @@ def test_table_limits_below_one_are_usage_errors(capsys):
 def test_module_entry_point_pipe():
     gen = subprocess.run(
         [sys.executable, "-m", "shufflecover", "generate", "--kind", "recursive", "--k", "2"],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env=CHILD_ENV,
     )
     val = subprocess.run(
         [sys.executable, "-m", "shufflecover", "validate", "--in", "-"],
-        input=gen.stdout, capture_output=True, text=True,
+        input=gen.stdout, capture_output=True, text=True, env=CHILD_ENV,
     )
     assert val.returncode == 0 and val.stdout.strip() == "ok"
 
@@ -273,6 +299,6 @@ def test_console_script_detect():
     wrapper = f"from {module} import {func}; {func}()"
     det = subprocess.run(
         [sys.executable, "-c", wrapper, "detect", "--p", "2", "--mode", "brute", "--in", "-"],
-        input=GOLDEN_TEXT, capture_output=True, text=True,
+        input=GOLDEN_TEXT, capture_output=True, text=True, env=CHILD_ENV,
     )
     assert det.returncode == 0 and det.stdout.strip() == "none"

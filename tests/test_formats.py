@@ -96,6 +96,8 @@ def test_cover_obj_is_sorted_and_plain():
         {"n_rows": 2, "n_cols": 2, "rectangles": [{"color": 0, "rows": [], "cols": [0]}]},
         {"n_rows": 0, "n_cols": 2, "rectangles": []},
         "not a dict",
+        {"n_rows": 2.5, "n_cols": 2, "rectangles": []},
+        {"n_rows": True, "n_cols": 1, "rectangles": []},
     ],
 )
 def test_cover_from_obj_rejects_malformed(obj):
@@ -117,10 +119,19 @@ def test_kpartite_json_round_trip():
 
 
 def test_kpartite_from_obj_rejects_bad_parts():
-    obj = kpartite_to_obj(sample_kpartite())
-    obj["pairs"][0]["parts"] = [1, 0]
-    with pytest.raises(FormatError):
-        kpartite_from_obj(obj)
+    for parts in ([1, 0], [0, 1, 7], [0], [0.5, 1], [True, 2]):
+        obj = kpartite_to_obj(sample_kpartite())
+        obj["pairs"][0]["parts"] = parts
+        with pytest.raises(FormatError):
+            kpartite_from_obj(obj)
+
+
+def test_kpartite_from_obj_rejects_bad_sizes():
+    for key, value in (("n", 1.5), ("n", True), ("k", 3.0)):
+        obj = kpartite_to_obj(sample_kpartite())
+        obj[key] = value
+        with pytest.raises(FormatError):
+            kpartite_from_obj(obj)
 
 
 def test_kpartite_from_obj_rejects_malformed_rectangle():
@@ -139,6 +150,20 @@ def test_clique_family_round_trip():
     )
     obj = json.loads(json.dumps(clique_family_to_obj(family)))
     assert clique_family_from_obj(obj) == family
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n_vertices": 2, "cliques": [{"color": 0, "vertices": [True]}]},
+        {"n_vertices": 2.5, "cliques": [{"color": 0, "vertices": [0, 1]}]},
+        {"n_vertices": True, "cliques": [{"color": 0, "vertices": [0]}]},
+        {"n_vertices": 2, "cliques": [{"color": 0, "vertices": [0.0]}]},
+    ],
+)
+def test_clique_family_from_obj_rejects_non_integers(obj):
+    with pytest.raises(FormatError):
+        clique_family_from_obj(obj)
 
 
 def test_violation_objects_carry_kind():

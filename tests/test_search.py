@@ -194,11 +194,12 @@ def _subsets_with(first, others):
             yield tuple(sorted((first,) + extra))
 
 
-def reference_candidates(n, m, p, covered, row_used, col_used):
+def reference_candidates(n, m, p, covered, used):
     """Every live rectangle through the first uncovered cell whose thin
     side is at most p-1 and whose every line brings an uncovered cell, by
     brute force and without symmetry breaking.  A rectangle is dead when it
-    uses a line's last slot while that line keeps an uncovered cell."""
+    uses a line's last slot while that line keeps an uncovered cell.
+    ``used`` counts the rows' uses, then the columns'."""
     holes = {(r, c) for r in range(n) for c in range(n) if not covered >> (r * n + c) & 1}
     r0, c0 = min(holes)
     open_rows = sorted({r for r, _ in holes} - {r0})
@@ -214,15 +215,15 @@ def reference_candidates(n, m, p, covered, row_used, col_used):
             if any(not any(c == y for _, y in new) for c in cols):
                 continue
             rest = holes - new
-            dead = any(row_used[r] + 1 == m and any(x == r for x, _ in rest) for r in rows) or any(
-                col_used[c] + 1 == m and any(y == c for _, y in rest) for c in cols
+            dead = any(used[r] + 1 == m and any(x == r for x, _ in rest) for r in rows) or any(
+                used[n + c] + 1 == m and any(y == c for _, y in rest) for c in cols
             )
             if not dead:
                 live.append((rows, cols))
     return live
 
 
-def canonical(rect, n, covered, row_used, col_used):
+def canonical(rect, n, covered, used):
     """The rectangle with each class of interchangeable lines (same
     uncovered cells, same use count) replaced by its lowest members, and
     transposed to rows <= cols on the empty grid."""
@@ -237,50 +238,52 @@ def canonical(rect, n, covered, row_used, col_used):
         return tuple(sorted(out))
 
     def row_key(r):
-        return tuple(not covered >> (r * n + c) & 1 for c in range(n)), row_used[r]
+        return tuple(not covered >> (r * n + c) & 1 for c in range(n)), used[r]
 
     def col_key(c):
-        return tuple(not covered >> (r * n + c) & 1 for r in range(n)), col_used[c]
+        return tuple(not covered >> (r * n + c) & 1 for r in range(n)), used[n + c]
 
     return squeeze(rows, row_key), squeeze(cols, col_key)
 
 
 def walk_states(seed, count, n_max):
-    """States (n, m, p, covered, row_used, col_used) along random walks
-    through the cover space, each step a random live rectangle; a new walk
-    starts while fewer than ``count`` states have been given."""
+    """States (n, m, p, covered, used) along random walks through the cover
+    space, each step a random live rectangle; a new walk starts while fewer
+    than ``count`` states have been given.  ``used`` counts each line's
+    uses: the rows are lines 0..n-1, the columns lines n..2n-1."""
     rng = random.Random(seed)
     states = 0
     while states < count:
         n, m, p = rng.randint(2, n_max), rng.randint(1, 3), rng.randint(2, 4)
-        covered, row_used, col_used = 0, [0] * n, [0] * n
+        covered, used = 0, [0] * (2 * n)
         while covered != (1 << (n * n)) - 1:
-            yield n, m, p, covered, list(row_used), list(col_used)
+            yield n, m, p, covered, list(used)
             states += 1
-            ref = reference_candidates(n, m, p, covered, row_used, col_used)
+            ref = reference_candidates(n, m, p, covered, used)
             if not ref:
                 break
             rows, cols = rng.choice(ref)
             for r in rows:
-                row_used[r] += 1
+                used[r] += 1
                 for c in cols:
                     covered |= 1 << (r * n + c)
             for c in cols:
-                col_used[c] += 1
+                used[n + c] += 1
 
 
 def test_candidates_match_brute_force_up_to_symmetry():
     # at every state the generator must return exactly one representative
     # of each class of equivalent live rectangles, sorted thin side first,
     # then by area, and never build (or count) a dead one
-    for n, m, p, covered, row_used, col_used in walk_states(20240601, 300, 5):
+    for n, m, p, covered, used in walk_states(20240601, 300, 5):
         searcher = _Searcher(n, m, p, None, None)
-        got = searcher.candidates(covered, row_used, col_used)
-        ref = reference_candidates(n, m, p, covered, row_used, col_used)
-        want = {canonical(rect, n, covered, row_used, col_used) for rect in ref}
-        assert [(rows, cols) for rows, cols, _ in got] == sorted(
+        got = searcher.candidates(covered, used)
+        ref = reference_candidates(n, m, p, covered, used)
+        want = {canonical(rect, n, covered, used) for rect in ref}
+        # candidates name columns by line id, n + column
+        assert [(rows, tuple(c - n for c in cols)) for rows, cols, _ in got] == sorted(
             want, key=lambda rc: (min(map(len, rc)), -len(rc[0]) * len(rc[1]), rc)
-        ), (n, m, p, covered, row_used, col_used)
+        ), (n, m, p, covered, used)
         assert searcher.nodes == 0
         assert "dead_line" not in searcher.prunes
 
@@ -333,22 +336,29 @@ def test_stats_record_prune_reasons():
 
 
 def test_counting_bound_at_root_is_the_theorem():
-    # on the empty grid the bound is the guarantee theorem, cell for cell
-    cells = 0
+    # on the empty grid the bound is the guarantee theorem, cell for cell,
+    # and the search refutes each guaranteed cell there, in one node
+    cells = refuted = 0
     for n in range(1, 25):
         for m in range(1, n + 2):
             for p in range(1, n + 2):
                 searcher = _Searcher(n, m, p, None, None)
-                fires = not searcher.room_left(0, [0] * n, [0] * n)
+                fires = not searcher.room_left(0, [0] * (2 * n))
                 assert fires == (p <= guaranteed_p(n, m)), (n, m, p)
                 cells += 1
+                if fires:
+                    out = run(n, m, p)
+                    assert out.verdict == UNSAT, (n, m, p)
+                    assert (out.stats.nodes, out.stats.prunes) == (1, {"counting": 1}), (n, m, p)
+                    refuted += 1
     assert cells == 5524
+    assert refuted == sum(guaranteed_p(n, m) for n in range(1, 25) for m in range(1, n + 2))
 
 
 def test_n5_verdicts_without_counting_bound(monkeypatch):
     # UNSAT verdicts rest on the bound; with it off the exhaustive search
     # alone must still reach every pinned verdict
-    # one switch turns off both the node check and the per-child check
+    # one switch turns off both the root check and the per-child check
     monkeypatch.setattr(_Searcher, "within_bound", lambda self, *counts: True)
     for (n, m), verdicts in N5_VERDICTS.items():
         for p, letter in enumerate(verdicts, start=1):
@@ -361,14 +371,12 @@ def test_counting_bound_prunes_only_dead_states():
     # at every state the bound rejects, the search with the bound off must
     # find no completion
     fired = 0
-    for n, m, p, covered, row_used, col_used in walk_states(20240602, 400, 4):
-        if not _Searcher(n, m, p, None, None).room_left(covered, row_used, col_used):
+    for n, m, p, covered, used in walk_states(20240602, 400, 4):
+        if not _Searcher(n, m, p, None, None).room_left(covered, used):
             fired += covered != 0
             unbounded = _Searcher(n, m, p, None, None)
             unbounded.within_bound = lambda *counts: True
-            assert not unbounded.dfs(covered, row_used, col_used, []), (
-                n, m, p, covered, row_used, col_used
-            )
+            assert not unbounded.dfs(covered, used, []), (n, m, p, covered, used)
     # the bound fires below the root often enough for this to test it
     assert fired >= 20
 
@@ -378,27 +386,21 @@ def test_child_check_agrees_with_room_left():
     # the candidates whose child state passes room_left, in order, and count
     # each other one as a node and a counting prune
     rejected = 0
-    for n, m, p, covered, row_used, col_used in walk_states(20240603, 1000, 5):
-        if not _Searcher(n, m, p, None, None).room_left(covered, row_used, col_used):
+    for n, m, p, covered, used in walk_states(20240603, 1000, 5):
+        if not _Searcher(n, m, p, None, None).room_left(covered, used):
             continue
         want, fails = [], 0
-        for rows, cols, cell_mask in _Searcher(n, m, p, None, None).candidates(
-            covered, row_used, col_used
-        ):
-            child = (
-                covered | cell_mask,
-                [k + (r in rows) for r, k in enumerate(row_used)],
-                [k + (c in cols) for c, k in enumerate(col_used)],
-            )
+        for rows, cols, cell_mask in _Searcher(n, m, p, None, None).candidates(covered, used):
+            child = (covered | cell_mask, [k + (x in rows + cols) for x, k in enumerate(used)])
             if _Searcher(n, m, p, None, None).room_left(*child):
                 want.append(child)
             else:
                 fails += 1
         searcher = _Searcher(n, m, p, None, None)
         entered = []
-        searcher.dfs = lambda *child: entered.append((child[0], list(child[1]), list(child[2])))
-        assert not _Searcher.dfs(searcher, covered, row_used, col_used, [])
-        assert entered == want, (n, m, p, covered, row_used, col_used)
+        searcher.dfs = lambda *child: entered.append((child[0], list(child[1])))
+        assert not _Searcher.dfs(searcher, covered, used, [])
+        assert entered == want, (n, m, p, covered, used)
         assert searcher.nodes == 1 + fails
         assert searcher.prunes["counting"] == fails
         rejected += fails
