@@ -38,6 +38,7 @@ class NotShufflePreserved(ValueError):
 # value types
 
 COLOR_IDS = "color ids must be non-negative integers, got {!r}"
+INDICES = "indices must be non-negative integers, got {!r}"
 
 
 def check_ints(message: str, *values: object, low: int = 0) -> None:
@@ -96,7 +97,7 @@ class Rectangle:
         check_ints(COLOR_IDS, self.color)
         if not self.rows or not self.cols:
             raise ValueError("rectangle sides must be nonempty")
-        check_ints("indices must be non-negative integers, got {!r}", *self.rows, *self.cols)
+        check_ints(INDICES, *self.rows, *self.cols)
 
     @property
     def min_side(self) -> int:
@@ -122,7 +123,8 @@ class RectangleCover:
 
     def __post_init__(self):
         object.__setattr__(self, "rectangles", tuple(self.rectangles))
-        check_ints("cover dimensions must be positive", self.n_rows, self.n_cols, low=1)
+        dims = "cover dimensions must be positive integers, got {!r}"
+        check_ints(dims, self.n_rows, self.n_cols, low=1)
         seen: set[int] = set()
         for rect in self.rectangles:
             if rect.color in seen:
@@ -230,8 +232,8 @@ class KPartiteCover:
     pairs: tuple[tuple[int, int, tuple[Rectangle, ...]], ...]
 
     def __post_init__(self):
-        check_ints("need at least two parts", self.k, low=2)
-        check_ints("parts must be nonempty", self.n, low=1)
+        check_ints("part count k must be an integer of at least 2, got {!r}", self.k, low=2)
+        check_ints("part size n must be a positive integer, got {!r}", self.n, low=1)
         canon = []
         seen_pairs = set()
         for a, b, rects in self.pairs:

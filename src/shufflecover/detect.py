@@ -50,7 +50,7 @@ class CliqueFamily:
     cliques: tuple[tuple[int, frozenset[int]], ...]
 
     def __post_init__(self):
-        check_ints("need at least one vertex", self.n_vertices, low=1)
+        check_ints("vertex count must be a positive integer, got {!r}", self.n_vertices, low=1)
         canon = []
         seen = set()
         for color, vertices in self.cliques:

@@ -11,7 +11,7 @@ import dataclasses
 import json
 from typing import Any
 
-from .core import ColorMatrix, KPartiteCover, Rectangle, RectangleCover
+from .core import INDICES, ColorMatrix, KPartiteCover, Rectangle, RectangleCover, check_ints
 
 
 class FormatError(ValueError):
@@ -70,7 +70,14 @@ def _rectangle_from_obj(obj: Any) -> Rectangle:
     if not isinstance(obj, dict) or not {"color", "rows", "cols"} <= set(obj):
         raise FormatError("rectangle objects need color, rows, cols")
     try:
-        return Rectangle(color=obj["color"], rows=frozenset(obj["rows"]), cols=frozenset(obj["cols"]))
+        rows, cols = obj["rows"], obj["cols"]
+        rect = Rectangle(color=obj["color"], rows=frozenset(rows), cols=frozenset(cols))
+        # A true next to a 1 merges into it as a set member (True == 1), so
+        # ids lost to the sets are checked in the raw lists; a bool that
+        # survives as itself the constructor has already refused.
+        if len(rect.rows) + len(rect.cols) < len(rows) + len(cols):
+            check_ints(INDICES, *rows, *cols)
+        return rect
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad rectangle: {exc}") from exc
 
@@ -141,10 +148,14 @@ def clique_family_from_obj(obj: Any) -> "CliqueFamily":
     if not isinstance(obj, dict) or not {"n_vertices", "cliques"} <= set(obj):
         raise FormatError("clique family objects need n_vertices, cliques")
     try:
-        cliques = tuple(
-            (entry["color"], frozenset(entry["vertices"])) for entry in obj["cliques"]
-        )
-        return CliqueFamily(n_vertices=obj["n_vertices"], cliques=cliques)
+        cliques = []
+        for entry in obj["cliques"]:
+            raw = entry["vertices"]
+            vertices = frozenset(raw)
+            if len(vertices) < len(raw):  # a true merged into a 1, as for rectangles
+                check_ints(INDICES, *raw)
+            cliques.append((entry["color"], vertices))
+        return CliqueFamily(n_vertices=obj["n_vertices"], cliques=tuple(cliques))
     except (LookupError, TypeError, ValueError) as exc:
         raise FormatError(f"bad clique family: {exc}") from exc
 

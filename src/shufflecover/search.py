@@ -23,8 +23,8 @@ lines leaves a cover).  On top of that:
   meets an uncovered cell of a thin line on its last use is forced in at
   full length, and the thin side is given up when a forced class cannot
   join.  Dead children are not counted as nodes.
-* Counting bound, the guarantee theorem's own argument, checked at the root
-  and on each child before it is entered.  Let t = p-1 and U the uncovered
+* Counting bound, the guarantee theorem's own argument, checked once on
+  entry of every state, the root included.  Let t = p-1 and U the uncovered
   cells; an open line L (one with an uncovered cell) has u_L of them and
   s_L = m - used_L uses left, and cap_L = s_L - [u_L > t*s_L].  No
   completion exists when |U| > t * sum(cap_L over open L).  Proof: shrink a
@@ -36,11 +36,11 @@ lines leaves a cover).  On top of that:
   u_L > t*s_L, some rectangle through L has L on its thin side and charges
   nothing to L, so at most s_L - 1 rectangles charge L.  On the empty grid
   the bound fires exactly when n > 2(p-1)(m-1) and p <= n: the paper's
-  theorem.  Each child is checked from its parent's counts: a rectangle
-  changes u_L and s_L only on its own lines, so the child's sum is the
-  parent's plus the change on those lines.  The check is exact, so every
-  state entered has passed it.  A state that fails counts as one node and
-  one ``counting`` prune and is never entered.
+  theorem.  The per-line counts are handed down: a rectangle changes u_L
+  and s_L only on its own lines, so the parent updates u_L and cap_L on
+  those lines (and the sum by their change) before entering the child, and
+  restores them after.  A state that fails counts as one node and one
+  ``counting`` prune, and no child of it is generated.
 * Symmetry is broken (after Crawford, Ginsberg, Luks & Roy, KR 1996).
   Two open lines with the same uncovered cells and the same use count are
   interchangeable: swapping them maps the state to itself, so from each
@@ -68,7 +68,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .core import Rectangle, RectangleCover, avoidance_threshold, guaranteed_p
+from .core import Rectangle, RectangleCover, avoidance_threshold, check_ints, guaranteed_p
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -77,7 +77,10 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Problem cell (n, m, p) plus optional wall-clock and node budgets."""
+    """Problem cell (n, m, p) plus optional wall-clock and node budgets.
+
+    n, m, p and ``node_limit`` must be ints (not bools) of at least 1, and
+    ``timeout`` positive, else ``ValueError``."""
 
     n: int
     m: int
@@ -86,22 +89,20 @@ class SearchParams:
     node_limit: int | None = None
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1 or self.p < 1:
-            raise ValueError("n, m, p must be positive")
+        check_ints("n, m, p must be positive integers, got {!r}", self.n, self.m, self.p, low=1)
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive")
-        if self.node_limit is not None and self.node_limit < 1:
-            raise ValueError("node_limit must be positive")
+        if self.node_limit is not None:
+            check_ints("node_limit must be a positive integer, got {!r}", self.node_limit, low=1)
 
 
 @dataclass
 class SearchStats:
     """Work done by one search.
 
-    ``nodes`` counts every state entered and every child rejected by the
-    counting bound before entry; dead children are never built and not
-    counted.  ``prunes`` maps a reason to how often it fired:
-    ``counting`` (the counting bound, at the root or on a child),
+    ``nodes`` counts every state entered, the root included; dead children
+    are never built and not counted.  ``prunes`` maps a reason to how often
+    it fired: ``counting`` (a state entered fails the counting bound),
     ``no_candidates`` (no live rectangle covers the first uncovered cell),
     ``abort_timeout`` and ``abort_nodes`` (a budget ran out; the verdict
     is INCONCLUSIVE).  ``millis`` is the wall-clock time of the search.
@@ -262,78 +263,67 @@ class _Searcher:
         ))
         return found
 
-    def line_caps(self, uncov: int, used: list[int]) -> tuple[list[int], list[int]]:
-        """u_L and cap_L (module docstring) of every line; cap_L is 0 on a
-        line with no uncovered cell."""
-        cap, m = self.cap, self.m
-        counts = [(uncov & mask).bit_count() for mask in self.mask]
-        return counts, [cap[m - k][u] for k, u in zip(used, counts)]
-
-    def within_bound(self, uncovered: int, cap: int) -> bool:
+    def within_bound(self, uncovered: int, total: int) -> bool:
         """The counting bound: False when ``uncovered`` cells are more than
-        p-1 times the caps' sum ``cap``.  The root check and the per-child
-        check both come through here."""
-        return uncovered <= (self.p - 1) * cap
-
-    def room_left(self, covered: int, used: list[int]) -> bool:
-        """False when the counting bound shows that the uncovered cells
-        cannot all be covered with the uses left.  ``search_avoiding`` checks
-        the root with it; ``dfs`` makes the same check on each child from
-        the per-line counts of its parent."""
-        uncov = ~covered & self.full
-        _, caps = self.line_caps(uncov, used)
-        return self.within_bound(uncov.bit_count(), sum(caps))
+        p-1 times ``total``, the sum of cap_L over all lines."""
+        return uncovered <= (self.p - 1) * total
 
     # -- depth-first search ---------------------------------------------
 
-    def count_node(self) -> None:
-        """Count one node, entered or pruned before entry, against the
-        node and wall-clock budgets."""
+    def search(self, covered: int, used: list[int]) -> bool:
+        """Search on from the state (covered, used), with u_L and cap_L
+        (module docstring) of every line counted from scratch; cap_L is 0
+        on a line with no uncovered cell."""
+        uncov = ~covered & self.full
+        self.used = list(used)
+        self.counts = [(uncov & mask).bit_count() for mask in self.mask]
+        self.caps = [self.cap[self.m - k][u] for k, u in zip(used, self.counts)]
+        return self.dfs(covered, sum(self.caps), [])
+
+    def dfs(
+        self,
+        covered: int,
+        total: int,
+        chosen: list[tuple[tuple[int, ...], tuple[int, ...]]],
+    ) -> bool:
+        """Search on from a state whose per-line ``used``, ``counts`` and
+        ``caps`` are on ``self``, with ``total`` the sum of its caps."""
         self.nodes += 1
         if self.node_limit is not None and self.nodes > self.node_limit:
             raise _Abort("nodes")
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Abort("timeout")
-
-    def dfs(
-        self,
-        covered: int,
-        used: list[int],
-        chosen: list[tuple[tuple[int, ...], tuple[int, ...]]],
-    ) -> bool:
-        """Search on from a state that has passed the counting bound."""
-        self.count_node()
         if covered == self.full:
             self.witness = list(chosen)
             return True
         uncov = ~covered & self.full
-        uncovered = uncov.bit_count()
-        counts, caps = self.line_caps(uncov, used)
-        total = sum(caps)
+        if not self.within_bound(uncov.bit_count(), total):
+            self.prunes["counting"] += 1
+            return False
+        used, counts, caps = self.used, self.counts, self.caps
         cands = self.candidates(covered, used)
         if not cands:
             self.prunes["no_candidates"] += 1
         m, cap, mask = self.m, self.cap, self.mask
         for rows, cols, cell_mask in cands:
-            # the child's bound: only the lines of its rectangle change
+            # only the lines of the rectangle change
             lines = rows + cols
             new = uncov & cell_mask
             gain = 0
             for x in lines:
-                left = counts[x] - (new & mask[x]).bit_count()
-                gain += cap[m - 1 - used[x]][left] - caps[x]
-            if not self.within_bound(uncovered - new.bit_count(), total + gain):
-                self.count_node()
-                self.prunes["counting"] += 1
-                continue
-            for x in lines:
                 used[x] += 1
+                counts[x] -= (new & mask[x]).bit_count()
+                line_cap = cap[m - used[x]][counts[x]]
+                gain += line_cap - caps[x]
+                caps[x] = line_cap
             chosen.append((rows, cols))
-            if self.dfs(covered | cell_mask, used, chosen):
+            if self.dfs(covered | cell_mask, total + gain, chosen):
                 return True
             chosen.pop()
             for x in lines:
                 used[x] -= 1
+                counts[x] += (new & mask[x]).bit_count()
+                caps[x] = cap[m - used[x]][counts[x]]
         return False
 
 
@@ -361,15 +351,9 @@ def search_avoiding(params: SearchParams) -> SearchOutcome:
     start = time.monotonic()
     deadline = start + params.timeout if params.timeout is not None else None
     searcher = _Searcher(n, params.m, params.p, deadline, params.node_limit)
-    used = [0] * (2 * n)
     witness = None
     try:
-        if not searcher.room_left(0, used):
-            # the root fails the counting bound: the paper's theorem
-            searcher.count_node()
-            searcher.prunes["counting"] += 1
-            verdict = UNSAT
-        elif searcher.dfs(0, used, []):
+        if searcher.search(0, [0] * (2 * n)):
             verdict = SAT
             witness = _witness_cover(n, searcher.witness)
         else:
@@ -392,8 +376,9 @@ def threshold_table(
 ) -> Iterator[TableRow]:
     """Sweep all cells (n, m, p) up to the given maxima, yielding one row per
     cell as it is decided.  The maxima and budgets are checked at the call,
-    before any row is asked for: each maximum must be at least 1, and each
-    budget given must be positive, else ``ValueError``.
+    before any row is asked for: each maximum must be an int (not a bool)
+    of at least 1, and each budget given must pass :class:`SearchParams`,
+    else ``ValueError``.
 
     ``regime`` classifies each cell against the closed-form bounds:
     guaranteed (p <= guaranteed_p(n, m): every valid coloring contains a
@@ -406,8 +391,7 @@ def threshold_table(
     if p_max is None:
         p_max = n_max + 1
     for name, value in (("n_max", n_max), ("m_max", m_max), ("p_max", p_max)):
-        if value < 1:
-            raise ValueError(f"{name} must be positive")
+        check_ints(f"{name} must be a positive integer, got {{!r}}", value, low=1)
     # the budgets are checked by SearchParams; do that here too, not per cell
     SearchParams(1, 1, 1, timeout=timeout_per_cell, node_limit=node_limit)
     return (

@@ -115,27 +115,79 @@ def test_missing_file_is_data_error():
 
 
 RECT = {"color": 0, "rows": [0], "cols": [0]}
+# a true next to a 1 must not merge into it as a set member
+MERGED_ROWS = {"color": 0, "rows": [1, True, 0], "cols": [0, 1]}
+BAD_INPUTS = [
+    # (input object, argv, the message stderr must give)
+    (
+        {"n_rows": 2.5, "n_cols": 2, "rectangles": [RECT]},
+        ["validate"],
+        "bad cover: cover dimensions must be positive integers, got 2.5",
+    ),
+    (
+        {"n_rows": 2.5, "n_cols": 2, "rectangles": [RECT]},
+        ["detect", "--p", "1"],
+        "bad cover: cover dimensions must be positive integers, got 2.5",
+    ),
+    (
+        {"n_rows": True, "n_cols": 1, "rectangles": [RECT]},
+        ["validate"],
+        "bad cover: cover dimensions must be positive integers, got True",
+    ),
+    (
+        {"k": 2, "n": 1.5, "pairs": [{"parts": [0, 1], "rectangles": [RECT]}]},
+        ["validate"],
+        "bad k-partite cover: part size n must be a positive integer, got 1.5",
+    ),
+    (
+        {"k": 2, "n": 1.5, "pairs": [{"parts": [0, 1], "rectangles": [RECT]}]},
+        ["detect", "--p", "1"],
+        "bad k-partite cover: part size n must be a positive integer, got 1.5",
+    ),
+    (
+        {"k": 2, "n": 1, "pairs": [{"parts": [0, 1, 7], "rectangles": [RECT]}]},
+        ["validate"],
+        "k-partite parts must be a pair of part ids, got [0, 1, 7]",
+    ),
+    (
+        {"n_vertices": 2, "cliques": [{"color": 0, "vertices": [True]}]},
+        ["superimposed", "--t", "1"],
+        "bad clique family: clique for color 0 has out-of-range vertices",
+    ),
+    (
+        {"n_vertices": 2.5, "cliques": [{"color": 0, "vertices": [0]}]},
+        ["superimposed", "--t", "1"],
+        "bad clique family: vertex count must be a positive integer, got 2.5",
+    ),
+    (
+        {"n_rows": 2, "n_cols": 2, "rectangles": [MERGED_ROWS]},
+        ["validate"],
+        "bad rectangle: indices must be non-negative integers, got True",
+    ),
+    (
+        {"k": 2, "n": 2, "pairs": [{"parts": [0, 1], "rectangles": [MERGED_ROWS]}]},
+        ["validate"],
+        "bad rectangle: indices must be non-negative integers, got True",
+    ),
+    (
+        {"n_vertices": 3, "cliques": [{"color": 0, "vertices": [1, True, 2]}]},
+        ["superimposed", "--t", "1"],
+        "bad clique family: indices must be non-negative integers, got True",
+    ),
+]
 
 
 @pytest.mark.parametrize(
-    "obj, argv",
-    [
-        ({"n_rows": 2.5, "n_cols": 2, "rectangles": [RECT]}, ["validate"]),
-        ({"n_rows": 2.5, "n_cols": 2, "rectangles": [RECT]}, ["detect", "--p", "1"]),
-        ({"n_rows": True, "n_cols": 1, "rectangles": [RECT]}, ["validate"]),
-        ({"k": 2, "n": 1.5, "pairs": [{"parts": [0, 1], "rectangles": [RECT]}]}, ["validate"]),
-        ({"k": 2, "n": 1.5, "pairs": [{"parts": [0, 1], "rectangles": [RECT]}]}, ["detect", "--p", "1"]),
-        ({"k": 2, "n": 1, "pairs": [{"parts": [0, 1, 7], "rectangles": [RECT]}]}, ["validate"]),
-        ({"n_vertices": 2, "cliques": [{"color": 0, "vertices": [True]}]}, ["superimposed", "--t", "1"]),
-        ({"n_vertices": 2.5, "cliques": [{"color": 0, "vertices": [0]}]}, ["superimposed", "--t", "1"]),
-    ],
+    "obj, argv, message",
+    BAD_INPUTS,
+    ids=[f"obj{i}-argv{i}" for i in range(len(BAD_INPUTS))],  # one id per case, by index
 )
-def test_non_integer_ids_and_sizes_are_data_errors(monkeypatch, capsys, obj, argv):
+def test_non_integer_ids_and_sizes_are_data_errors(monkeypatch, capsys, obj, argv, message):
     feed(monkeypatch, json.dumps(obj))
     assert run(argv) == 65
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("input error:")
+    assert err == f"input error: {message}\n"
 
 
 def test_detect_none_and_witness(monkeypatch, capsys):

@@ -86,6 +86,13 @@ def test_params_validate():
         SearchParams(2, 2, 2, timeout=0)
     with pytest.raises(ValueError):
         SearchParams(2, 2, 2, node_limit=0)
+    # a bool or a float is not a size: each is refused before any search
+    for args in ((True, 2, 2), (2.5, 2, 2), (3, True, 2), (3, 2, 2.0)):
+        with pytest.raises(ValueError, match=r"n, m, p must be positive integers, got"):
+            SearchParams(*args)
+    for limit in (True, 1.5):
+        with pytest.raises(ValueError, match=r"node_limit must be a positive integer"):
+            SearchParams(2, 2, 2, node_limit=limit)
 
 
 def test_single_color_cell_is_unsat():
@@ -158,7 +165,10 @@ def test_threshold_table_checks_limits_at_call():
     for args in ((0,), (-1,), (3, 0), (3, -1), (3, None, 0), (3, 2, -2)):
         with pytest.raises(ValueError):
             threshold_table(*args)
-    for budget in ({"timeout_per_cell": 0}, {"node_limit": 0}):
+    for args in ((2.5,), (True,), (3, 2.0), (3, None, False)):
+        with pytest.raises(ValueError, match=r"_max must be a positive integer, got"):
+            threshold_table(*args)
+    for budget in ({"timeout_per_cell": 0}, {"node_limit": 0}, {"node_limit": 2.5}):
         with pytest.raises(ValueError):
             threshold_table(3, **budget)
 
@@ -335,6 +345,15 @@ def test_stats_record_prune_reasons():
     assert sum(out.stats.prunes.values()) > 0
 
 
+def bound_fires(n, m, p, covered, used):
+    """Whether the search, started at (covered, used), prunes that state by
+    the counting bound.  No child is generated."""
+    searcher = _Searcher(n, m, p, None, None)
+    searcher.candidates = lambda *state: []
+    assert not searcher.search(covered, used)
+    return searcher.prunes == {"counting": 1}
+
+
 def test_counting_bound_at_root_is_the_theorem():
     # on the empty grid the bound is the guarantee theorem, cell for cell,
     # and the search refutes each guaranteed cell there, in one node
@@ -342,8 +361,7 @@ def test_counting_bound_at_root_is_the_theorem():
     for n in range(1, 25):
         for m in range(1, n + 2):
             for p in range(1, n + 2):
-                searcher = _Searcher(n, m, p, None, None)
-                fires = not searcher.room_left(0, [0] * (2 * n))
+                fires = bound_fires(n, m, p, 0, [0] * (2 * n))
                 assert fires == (p <= guaranteed_p(n, m)), (n, m, p)
                 cells += 1
                 if fires:
@@ -358,7 +376,6 @@ def test_counting_bound_at_root_is_the_theorem():
 def test_n5_verdicts_without_counting_bound(monkeypatch):
     # UNSAT verdicts rest on the bound; with it off the exhaustive search
     # alone must still reach every pinned verdict
-    # one switch turns off both the root check and the per-child check
     monkeypatch.setattr(_Searcher, "within_bound", lambda self, *counts: True)
     for (n, m), verdicts in N5_VERDICTS.items():
         for p, letter in enumerate(verdicts, start=1):
@@ -372,37 +389,56 @@ def test_counting_bound_prunes_only_dead_states():
     # find no completion
     fired = 0
     for n, m, p, covered, used in walk_states(20240602, 400, 4):
-        if not _Searcher(n, m, p, None, None).room_left(covered, used):
+        if bound_fires(n, m, p, covered, used):
             fired += covered != 0
             unbounded = _Searcher(n, m, p, None, None)
             unbounded.within_bound = lambda *counts: True
-            assert not unbounded.dfs(covered, used, []), (n, m, p, covered, used)
+            assert not unbounded.search(covered, used), (n, m, p, covered, used)
     # the bound fires below the root often enough for this to test it
     assert fired >= 20
 
 
-def test_child_check_agrees_with_room_left():
-    # the per-child check, made from the parent's counts, must enter exactly
-    # the candidates whose child state passes room_left, in order, and count
-    # each other one as a node and a counting prune
-    rejected = 0
-    for n, m, p, covered, used in walk_states(20240603, 1000, 5):
-        if not _Searcher(n, m, p, None, None).room_left(covered, used):
-            continue
-        want, fails = [], 0
-        for rows, cols, cell_mask in _Searcher(n, m, p, None, None).candidates(covered, used):
-            child = (covered | cell_mask, [k + (x in rows + cols) for x, k in enumerate(used)])
-            if _Searcher(n, m, p, None, None).room_left(*child):
-                want.append(child)
-            else:
-                fails += 1
-        searcher = _Searcher(n, m, p, None, None)
-        entered = []
-        searcher.dfs = lambda *child: entered.append((child[0], list(child[1])))
-        assert not _Searcher.dfs(searcher, covered, used, [])
-        assert entered == want, (n, m, p, covered, used)
-        assert searcher.nodes == 1 + fails
-        assert searcher.prunes["counting"] == fails
-        rejected += fails
-    # children fail the bound often enough for this to test it
-    assert rejected >= 50
+def recount(n, m, p, chosen):
+    """(covered, used, counts, caps, total) of the state the ``chosen``
+    rectangles reach from the empty grid, each line counted from scratch:
+    u_L uncovered cells, s_L = m - used_L uses left, cap_L = s_L -
+    [u_L > (p-1)*s_L] on a line with an uncovered cell, else 0.  Rows are
+    lines 0..n-1 and columns lines n..2n-1, in ``chosen`` as in ``used``."""
+    covered, used = 0, [0] * (2 * n)
+    for rows, cols in chosen:
+        for x in rows + cols:
+            used[x] += 1
+        for r in rows:
+            for c in cols:
+                covered |= 1 << (r * n + c - n)
+    holes = [[not covered >> (r * n + c) & 1 for c in range(n)] for r in range(n)]
+    counts = [sum(row) for row in holes] + [sum(row[c] for row in holes) for c in range(n)]
+    caps = [
+        (m - k) - (u > (p - 1) * (m - k)) if u else 0 for k, u in zip(used, counts)
+    ]
+    return covered, used, counts, caps, sum(caps)
+
+
+def checked_search(n, m, p):
+    """Search the cell, asserting on entry of every state that the per-line
+    counts handed down to it equal a recount; return the nodes entered."""
+    searcher = _Searcher(n, m, p, None, None)
+
+    def dfs(covered, total, chosen):
+        handed_down = (covered, searcher.used, searcher.counts, searcher.caps, total)
+        assert handed_down == recount(n, m, p, chosen), (n, m, p, chosen)
+        return _Searcher.dfs(searcher, covered, total, chosen)
+
+    searcher.dfs = dfs
+    searcher.search(0, [0] * (2 * n))
+    return searcher.nodes
+
+
+def test_handed_down_counts_match_recount():
+    # each parent updates used, counts and caps on its rectangle's lines
+    # only, and restores them after the child; every state entered must
+    # still see exactly what counting it from scratch gives
+    cells = [(n, m, p) for n in range(1, 6) for m in range(1, 6) for p in range(1, 7)]
+    cells += [(6, 4, 2), (7, 3, 3)]
+    nodes = [checked_search(*cell) for cell in cells]
+    assert nodes[-2:] == [17950, 1824]
