@@ -23,8 +23,9 @@ lines leaves a cover).  On top of that:
   meets an uncovered cell of a thin line on its last use is forced in at
   full length, and the thin side is given up when a forced class cannot
   join.  Dead children are not counted as nodes.
-* Counting bound, the guarantee theorem's own argument, checked once on
-  entry of every state, the root included.  Let t = p-1 and U the uncovered
+* Counting bound, the guarantee theorem's own argument, checked at the
+  root on entry and on every other state as it is generated.  Let t = p-1
+  and U the uncovered
   cells; an open line L (one with an uncovered cell) has u_L of them and
   s_L = m - used_L uses left, and cap_L = s_L - [u_L > t*s_L].  No
   completion exists when |U| > t * sum(cap_L over open L).  Proof: shrink a
@@ -36,11 +37,16 @@ lines leaves a cover).  On top of that:
   u_L > t*s_L, some rectangle through L has L on its thin side and charges
   nothing to L, so at most s_L - 1 rectangles charge L.  On the empty grid
   the bound fires exactly when n > 2(p-1)(m-1) and p <= n: the paper's
-  theorem.  The per-line counts are handed down: a rectangle changes u_L
-  and s_L only on its own lines, so the parent updates u_L and cap_L on
-  those lines (and the sum by their change) before entering the child, and
-  restores them after.  A state that fails counts as one node and one
-  ``counting`` prune, and no child of it is generated.
+  theorem.  A rectangle changes u_L and s_L only on its own lines, so a
+  child's |U| and sum(cap_L) follow from its parent's by the change on
+  those lines.  Once the thin side is fixed, every line of a wide class
+  gains the same new cells and the same cap change, so a wide prefix
+  carries its change as a running sum, class by class, and each thin line
+  costs one popcount per child.  A child that fails is one ``counting``
+  prune and is never built, sorted or entered; a root that fails is one
+  node and one ``counting`` prune.  The parent hands its per-line counts
+  down: it updates u_L and cap_L on the rectangle's lines before entering
+  the child, and restores them after.
 * Symmetry is broken (after Crawford, Ginsberg, Luks & Roy, KR 1996).
   Two open lines with the same uncovered cells and the same use count are
   interchangeable: swapping them maps the state to itself, so from each
@@ -51,18 +57,20 @@ lines leaves a cover).  On top of that:
 Verdicts are SAT (with a certificate cover), UNSAT (search space exhausted),
 or INCONCLUSIVE (timeout or node budget hit; never reported as UNSAT).
 
-Practical envelope, measured with ``bench/run.py`` in reference seconds
-(see bench/README.md): the counting bound refutes every guaranteed cell at
-the root, in 1 node, so the 150 cells of ``table --n-max 5`` take 582
-nodes in all.  All 8 ``hot_cells`` cells are decided, in about 0.8 s for
-the whole pass; the slowest, (6,4,2), (7,3,3) and (7,5,2), are SAT in
-17,950, 1,824 and 52,291 nodes.  ``threshold_table(7,
-timeout_per_cell=20)`` decides all 392 cells with n <= 7 in about 1 raw
-second on a 2-core VM.
+A node is a state entered: the root and every child that passed the
+counting bound.  Practical envelope, measured with ``bench/run.py`` in
+reference seconds (see bench/README.md): the counting bound refutes every
+guaranteed cell at the root, in 1 node, so the 150 cells of ``table
+--n-max 5`` take 516 nodes in all.  All 8 ``hot_cells`` cells are decided,
+in about 0.52 s for the whole pass; the slowest, (6,4,2), (7,3,3) and
+(7,5,2), are SAT in 6,427, 286 and 17,758 nodes.  ``threshold_table(7,
+timeout_per_cell=20)`` decides all 392 cells with n <= 7 in 26,118 nodes
+and about 0.8 raw seconds on a 2-core VM.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -80,7 +88,8 @@ class SearchParams:
     """Problem cell (n, m, p) plus optional wall-clock and node budgets.
 
     n, m, p and ``node_limit`` must be ints (not bools) of at least 1, and
-    ``timeout`` positive, else ``ValueError``."""
+    ``timeout`` a finite positive int or float (not a bool), else
+    ``ValueError``."""
 
     n: int
     m: int
@@ -90,8 +99,13 @@ class SearchParams:
 
     def __post_init__(self):
         check_ints("n, m, p must be positive integers, got {!r}", self.n, self.m, self.p, low=1)
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        timeout = self.timeout
+        if timeout is not None and (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not 0 < timeout <= sys.float_info.max  # nan and inf fail too
+        ):
+            raise ValueError(f"timeout must be a finite positive number of seconds, got {timeout!r}")
         if self.node_limit is not None:
             check_ints("node_limit must be a positive integer, got {!r}", self.node_limit, low=1)
 
@@ -101,11 +115,14 @@ class SearchStats:
     """Work done by one search.
 
     ``nodes`` counts every state entered, the root included; dead children
-    are never built and not counted.  ``prunes`` maps a reason to how often
-    it fired: ``counting`` (a state entered fails the counting bound),
-    ``no_candidates`` (no live rectangle covers the first uncovered cell),
-    ``abort_timeout`` and ``abort_nodes`` (a budget ran out; the verdict
-    is INCONCLUSIVE).  ``millis`` is the wall-clock time of the search.
+    and children that fail the counting bound are never built and not
+    counted.  ``prunes`` maps a reason to how often it fired: ``counting``
+    (a generated child fails the counting bound, or the root does; on a
+    SAT cell this also counts the failing siblings generated after the
+    winning branch), ``no_candidates`` (no live rectangle through the first
+    uncovered cell leaves a child that passes the bound), ``abort_timeout``
+    and ``abort_nodes`` (a budget ran out; the verdict is INCONCLUSIVE).
+    ``millis`` is the wall-clock time of the search.
     """
 
     nodes: int = 0
@@ -136,26 +153,36 @@ class _Abort(Exception):
         self.reason = reason
 
 
-def _prefixes(classes: list[list[int]], low: int, high: int) -> list[tuple[int, ...]]:
+def _prefixes(
+    classes: list[tuple[tuple[int, ...], list[int], int]], low: int, high: int
+) -> list[tuple[tuple[int, ...], int, int]]:
     """Every union of one prefix from each class with between ``low`` and
-    ``high`` lines in all, as a sorted tuple, the first class's prefix
-    length varying slowest.  A partial union that is already at ``high``,
-    or can no longer reach ``low``, is not extended."""
-    rest = sum(map(len, classes))
-    if high < max(low, 0) or low > rest:
+    ``high`` lines in all, the first class's prefix length varying
+    slowest, as (lines, mask, gain).  A class is (lines, masks, gain):
+    ``masks[k]`` is the union of its first k lines' cells and ``gain`` what
+    each of its lines adds; a union carries its lines in class order, the
+    union of their cells and the sum of their gains.  A partial union that
+    is already at ``high``, or can no longer reach ``low``, is not
+    extended."""
+    if high < max(low, 0):
         return []
     if not high:
-        return [()]  # the thin side's extra lines when p = 2
-    unions: list[tuple[int, ...]] = [()]
-    for cls in classes:
-        rest -= len(cls)
+        return [((), 0, 0)]  # the thin side's extra lines when p = 2
+    rest = 0
+    for lines, _, _ in classes:
+        rest += len(lines)
+    if low > rest:
+        return []
+    unions: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
+    for lines, masks, gain in classes:
+        rest -= len(lines)
         grown = []
-        for union in unions:
+        for union, reach, total in unions:
             size = len(union)
-            for k in range(max(0, low - size - rest), min(len(cls), high - size) + 1):
-                grown.append(union + tuple(cls[:k]))
+            for k in range(max(0, low - size - rest), min(len(lines), high - size) + 1):
+                grown.append((union + lines[:k], reach | masks[k], total + k * gain))
         unions = grown
-    return [tuple(sorted(union)) for union in unions]
+    return unions
 
 
 class _Searcher:
@@ -178,21 +205,39 @@ class _Searcher:
         self.prunes: Counter[str] = Counter()
         self.witness: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
 
+    def load(self, covered: int, used: list[int]) -> int:
+        """Keep the state's per-line ``used``, ``counts`` (u_L) and ``caps``
+        (cap_L, module docstring; 0 on a line with no uncovered cell) on
+        the searcher, counted from scratch, and return the sum of the caps."""
+        uncov = ~covered & self.full
+        self.used = list(used)
+        self.counts = [(uncov & mask).bit_count() for mask in self.mask]
+        self.caps = [self.cap[self.m - k][u] for k, u in zip(used, self.counts)]
+        return sum(self.caps)
+
     # -- candidate enumeration ------------------------------------------
 
     def candidates(
-        self, covered: int, used: list[int]
-    ) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-        """All live canonical rectangles through the first uncovered cell,
-        as (rows, cols, cell_mask), thin-side-first.  ``used`` and ``cols``
-        index lines: columns are lines n..2n-1.
+        self, covered: int, total: int
+    ) -> list[tuple[tuple[int, ...], tuple[int, ...], int, int]]:
+        """All live canonical rectangles through the first uncovered cell
+        whose child passes the counting bound, as (rows, cols, cell_mask,
+        child_total), thin-side-first; ``child_total`` is the child's sum
+        of cap_L.  ``cols`` names columns by line id, n..2n-1.
 
-        The state must be live: every line with an uncovered cell has a use
-        left.  A child that would leave a line with no use left and an
-        uncovered cell is dead, and is never built (module docstring)."""
-        n, last, thin_cap = self.n, self.m - 1, self.p - 1
-        mask, shift = self.mask, self.shift
+        The state is the one on the searcher (``load``), with ``total`` its
+        sum of cap_L, and must be live: every line with an uncovered cell
+        has a use left.  A dead child (one that would leave a line with no
+        use left and an uncovered cell) is never built; a child that fails
+        the counting bound is counted as a ``counting`` prune and never
+        built either (module docstring)."""
+        n, m, thin_cap = self.n, self.m, self.p - 1
+        last = m - 1
+        mask, shift, cap = self.mask, self.shift, self.cap
+        used, counts, caps = self.used, self.counts, self.caps
+        within_bound = self.within_bound
         uncov = ~covered & self.full
+        left = uncov.bit_count()
         r0, c0 = divmod((uncov & -uncov).bit_length() - 1, n)
         c0 += n
         # Rows above r0 are covered, and a line joins only if it brings an
@@ -200,64 +245,106 @@ class _Searcher:
         # use count are interchangeable: swapping two of them maps the state
         # to itself.  So from each class of them a candidate takes a prefix,
         # lowest index first (r0 and c0 are the lowest of their classes).
-        classes: tuple[dict, dict] = ({}, {})
-        for x in range(r0 + 1, 2 * n):
-            line = uncov & mask[x]
-            if line and x != c0:
-                classes[x >= n].setdefault((line >> shift[x], used[x]), []).append(x)
-        rows = (r0, list(classes[0].values()))
-        cols = (c0, list(classes[1].values()))
-        found = []
+        # Each class is kept as [lines, masks, 0] for _prefixes: masks[k]
+        # is the union of the cells of its first k lines.
+        sides = []
+        for lines in (range(r0 + 1, n), range(n, 2 * n)):
+            side = {}
+            for x in lines:
+                line = uncov & mask[x]
+                if line and x != c0:
+                    key = (line >> shift[x], used[x])
+                    cls = side.get(key)
+                    if cls is None:
+                        side[key] = [(x,), [0, mask[x]], 0]
+                    else:
+                        cls[0] += (x,)
+                        cls[1].append(cls[1][-1] | mask[x])
+            sides.append(list(side.values()))
+        rows, cols = (r0, sides[0]), (c0, sides[1])
+        found, failed = [], 0
         # Rows are the thin side (at most p-1 of them, any columns), then
         # columns are (at most p-1 of them, under at least p rows).  Once
         # the thin side is fixed, its lines on their last use must be
         # covered in full: that forces in, at full length, every wide class
         # meeting their uncovered cells.  A wide line on its last use may
         # join only if the thin side spans all its uncovered cells.
-        for thin, wide, low in ((rows, cols, 0), (cols, rows, thin_cap)):
+        #
+        # The child's counting bound needs its |new| and the change of
+        # sum(cap_L) over the rectangle's lines.  Each new cell lies on one
+        # thin line, so |new| is the thin lines' new cells; a wide line
+        # gains new cells where it meets the thin side, the same number
+        # on every line of a class, so a wide class's cap change per line
+        # is fixed with the thin side and summed along with its prefixes.
+        #
+        # Every candidate on the empty grid is some [0, a) x [0, b), and
+        # transposing maps the empty grid to itself, so a <= b suffices
+        # there: the rows are the thin side, and no more than the columns.
+        orientations = ((rows, cols, 0), (cols, rows, thin_cap)) if covered else ((rows, cols, 0),)
+        for thin, wide, low in orientations:
             thin_first, thin_classes = thin
             wide_first, wide_classes = wide
             # the wide side's first line joins every candidate
             first_left = uncov & mask[wide_first] if used[wide_first] == last else 0
-            for extra in _prefixes(thin_classes, 0, thin_cap - 1):
-                thin_lines = tuple(sorted((thin_first,) + extra))
-                spans = must = 0
-                for x in thin_lines:
-                    spans |= mask[x]
-                    if used[x] == last:
-                        must |= uncov & mask[x]
+            for extra, extra_spans, _ in _prefixes(thin_classes, 0, thin_cap - 1):
+                thin_lines = (thin_first,) + extra
+                spans = mask[thin_first] | extra_spans
                 if first_left & ~spans:
                     continue
+                # a thin line's new cells depend on the wide side: kept as
+                # (its cells, its cap_L by u_L after this use, u_L, cap_L)
+                must, thin_counts = 0, []
+                for x in thin_lines:
+                    if used[x] == last:
+                        must |= uncov & mask[x]
+                    thin_counts.append((mask[x], cap[m - used[x] - 1], counts[x], caps[x]))
                 live = uncov & spans
-                forced, free = [], []
-                for cls in wide_classes:
-                    cls_mask = mask[cls[0]]
-                    if not live & cls_mask:
+                y = wide_first
+                forced = (y,)
+                reach = mask[y]
+                gain = cap[m - used[y] - 1][counts[y] - (live & reach).bit_count()] - caps[y]
+                free = []
+                for lines, masks, _ in wide_classes:
+                    meets = live & masks[1]
+                    if not meets:
                         continue
-                    if used[cls[0]] == last and uncov & cls_mask & ~spans:
-                        if must & cls_mask:
+                    y = lines[0]
+                    if used[y] == last and uncov & masks[1] & ~spans:
+                        if must & meets:
                             break  # a forced class cannot join: no candidate
-                    elif must & cls_mask:
-                        forced += cls
+                        continue
+                    line_gain = cap[m - used[y] - 1][counts[y] - meets.bit_count()] - caps[y]
+                    if must & meets:
+                        forced += lines
+                        reach |= masks[-1]
+                        gain += len(lines) * line_gain
                     else:
-                        free.append(cls)
+                        free.append((lines, masks, line_gain))
                 else:
-                    for wide_extra in _prefixes(free, low - len(forced), n - len(forced)):
-                        wide_lines = (wide_first,) + wide_extra + tuple(forced)
-                        reach = 0
-                        for y in wide_lines:
-                            reach |= mask[y]
-                        new = live & reach
-                        if all(new & mask[x] for x in extra):
-                            wide_lines = tuple(sorted(wide_lines))
-                            if thin is rows:
-                                found.append((thin_lines, wide_lines, spans & reach))
-                            else:
-                                found.append((wide_lines, thin_lines, spans & reach))
-        if not covered:
-            # Every candidate on the empty grid is some [0, a) x [0, b), and
-            # transposing maps the empty grid to itself, so a <= b suffices.
-            found = [cand for cand in found if len(cand[0]) <= len(cand[1])]
+                    wide_low = low + 1 - len(forced)
+                    for wide_extra, extra_reach, extra_gain in _prefixes(free, wide_low, n + 1 - len(forced)):
+                        wide_cells = reach | extra_reach
+                        new = live & wide_cells
+                        new_count, child_gain = 0, gain + extra_gain
+                        for x_mask, cap_after, u, x_cap in thin_counts:
+                            k = (new & x_mask).bit_count()
+                            if not k:
+                                break  # a thin line brings no uncovered cell
+                            new_count += k
+                            child_gain += cap_after[u - k] - x_cap
+                        else:
+                            wide_lines = forced + wide_extra
+                            if not covered and len(thin_lines) > len(wide_lines):
+                                continue
+                            if not within_bound(left - new_count, total + child_gain):
+                                failed += 1
+                                continue
+                            cand = (tuple(sorted(thin_lines)), tuple(sorted(wide_lines)))
+                            if thin is cols:
+                                cand = cand[::-1]
+                            found.append((*cand, spans & wide_cells, total + child_gain))
+        if failed:
+            self.prunes["counting"] += failed
         found.sort(key=lambda cand: (
             min(len(cand[0]), len(cand[1])), -len(cand[0]) * len(cand[1]), cand[0], cand[1]
         ))
@@ -271,14 +358,8 @@ class _Searcher:
     # -- depth-first search ---------------------------------------------
 
     def search(self, covered: int, used: list[int]) -> bool:
-        """Search on from the state (covered, used), with u_L and cap_L
-        (module docstring) of every line counted from scratch; cap_L is 0
-        on a line with no uncovered cell."""
-        uncov = ~covered & self.full
-        self.used = list(used)
-        self.counts = [(uncov & mask).bit_count() for mask in self.mask]
-        self.caps = [self.cap[self.m - k][u] for k, u in zip(used, self.counts)]
-        return self.dfs(covered, sum(self.caps), [])
+        """Search on from the state (covered, used), counted from scratch."""
+        return self.dfs(covered, self.load(covered, used), [])
 
     def dfs(
         self,
@@ -287,7 +368,9 @@ class _Searcher:
         chosen: list[tuple[tuple[int, ...], tuple[int, ...]]],
     ) -> bool:
         """Search on from a state whose per-line ``used``, ``counts`` and
-        ``caps`` are on ``self``, with ``total`` the sum of its caps."""
+        ``caps`` are on ``self``, with ``total`` the sum of its caps.  Only
+        the root can fail the counting bound here: every child is checked
+        when it is generated."""
         self.nodes += 1
         if self.node_limit is not None and self.nodes > self.node_limit:
             raise _Abort("nodes")
@@ -301,23 +384,20 @@ class _Searcher:
             self.prunes["counting"] += 1
             return False
         used, counts, caps = self.used, self.counts, self.caps
-        cands = self.candidates(covered, used)
+        cands = self.candidates(covered, total)
         if not cands:
             self.prunes["no_candidates"] += 1
         m, cap, mask = self.m, self.cap, self.mask
-        for rows, cols, cell_mask in cands:
+        for rows, cols, cell_mask, child_total in cands:
             # only the lines of the rectangle change
             lines = rows + cols
             new = uncov & cell_mask
-            gain = 0
             for x in lines:
                 used[x] += 1
                 counts[x] -= (new & mask[x]).bit_count()
-                line_cap = cap[m - used[x]][counts[x]]
-                gain += line_cap - caps[x]
-                caps[x] = line_cap
+                caps[x] = cap[m - used[x]][counts[x]]
             chosen.append((rows, cols))
-            if self.dfs(covered | cell_mask, total + gain, chosen):
+            if self.dfs(covered | cell_mask, child_total, chosen):
                 return True
             chosen.pop()
             for x in lines:

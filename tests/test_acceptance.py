@@ -363,7 +363,7 @@ def test_criterion_10_n7_table_decided():
     rows = list(threshold_table(7, timeout_per_cell=20))
     assert len(rows) == 7 * 7 * 8 == 392
     # the node total locks the search order on every cell
-    assert sum(row.nodes for row in rows) == 73934
+    assert sum(row.nodes for row in rows) == 26118
     for row in rows:
         assert row.verdict == (SAT if row.p > guaranteed_p(row.n, row.m) else UNSAT), row
         if row.verdict == SAT:

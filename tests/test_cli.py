@@ -323,9 +323,19 @@ def test_table_limits_below_one_are_usage_errors(capsys):
     # checked before the CSV header is printed
     for limits in (["--n-max", "0"], ["--n-max", "-3"], ["--n-max", "2", "--m-max", "0"],
                    ["--n-max", "2", "--p-max", "0"], ["--n-max", "2", "--m-max", "-1"],
-                   ["--n-max", "2", "--timeout-sec", "0"]):
+                   ["--n-max", "2", "--timeout-sec", "0"], ["--n-max", "2", "--timeout-sec", "nan"],
+                   ["--n-max", "2", "--timeout-sec", "inf"]):
         assert run(["table", *limits]) == 64
         assert capsys.readouterr().out == ""
+
+
+def test_search_timeout_not_finite_positive_is_usage_error(capsys):
+    # a NaN deadline never passes, so it would silently lift the budget
+    for value in ("nan", "inf", "0", "-1"):
+        assert run(["search", "--n", "2", "--m", "2", "--p", "2", "--timeout-sec", value]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "timeout must be a finite positive number" in captured.err, value
 
 
 def test_module_entry_point_pipe():

@@ -8,6 +8,7 @@ it is checked with the counting bound off as well, since the bound alone
 refutes every guaranteed cell.
 """
 
+import operator
 import random
 from collections import Counter
 from itertools import combinations, product
@@ -93,6 +94,12 @@ def test_params_validate():
     for limit in (True, 1.5):
         with pytest.raises(ValueError, match=r"node_limit must be a positive integer"):
             SearchParams(2, 2, 2, node_limit=limit)
+    # a NaN deadline never passes, and a bool or a string is no duration
+    for timeout in (-1, 0.0, float("nan"), float("inf"), -float("inf"), True, False, "1", 10**400):
+        with pytest.raises(ValueError, match=r"timeout must be a finite positive number"):
+            SearchParams(2, 2, 2, timeout=timeout)
+    for timeout in (1, 0.5, 1e-9):
+        assert SearchParams(2, 2, 2, timeout=timeout).timeout == timeout
 
 
 def test_single_color_cell_is_unsat():
@@ -281,46 +288,92 @@ def walk_states(seed, count, n_max):
                 used[n + c] += 1
 
 
-def test_candidates_match_brute_force_up_to_symmetry():
-    # at every state the generator must return exactly one representative
-    # of each class of equivalent live rectangles, sorted thin side first,
-    # then by area, and never build (or count) a dead one
+def test_candidates_match_brute_force_up_to_symmetry(monkeypatch):
+    # with the counting bound off, at every state the generator must return
+    # exactly one representative of each class of equivalent live
+    # rectangles, sorted thin side first, then by area, and never build (or
+    # count) a dead one
+    monkeypatch.setattr(_Searcher, "within_bound", lambda self, *counts: True)
     for n, m, p, covered, used in walk_states(20240601, 300, 5):
         searcher = _Searcher(n, m, p, None, None)
-        got = searcher.candidates(covered, used)
+        got = searcher.candidates(covered, searcher.load(covered, used))
         ref = reference_candidates(n, m, p, covered, used)
         want = {canonical(rect, n, covered, used) for rect in ref}
         # candidates name columns by line id, n + column
-        assert [(rows, tuple(c - n for c in cols)) for rows, cols, _ in got] == sorted(
+        assert [(rows, tuple(c - n for c in cols)) for rows, cols, *_ in got] == sorted(
             want, key=lambda rc: (min(map(len, rc)), -len(rc[0]) * len(rc[1]), rc)
         ), (n, m, p, covered, used)
         assert searcher.nodes == 0
-        assert "dead_line" not in searcher.prunes
+        assert not searcher.prunes
+
+
+def test_candidates_drop_exactly_the_children_failing_the_bound():
+    # with the bound on, the generator returns the bound-off list, in the
+    # same order, less each child whose from-scratch count fails the bound;
+    # each of those is one counting prune, and each child kept carries its
+    # sum of cap_L
+    dropped = 0
+    for n, m, p, covered, used in walk_states(20240605, 400, 5):
+        searcher = _Searcher(n, m, p, None, None)
+        got = searcher.candidates(covered, searcher.load(covered, used))
+        unbounded = _Searcher(n, m, p, None, None)
+        unbounded.within_bound = lambda *counts: True
+        every = unbounded.candidates(covered, unbounded.load(covered, used))
+        kept = []
+        for rows, cols, cell_mask, _ in every:
+            child_used = list(used)
+            for x in rows + cols:
+                child_used[x] += 1
+            child_covered = covered | cell_mask
+            _, _, child_total = line_counts(n, m, p, child_covered, child_used)
+            holes = n * n - bin(child_covered).count("1")
+            if searcher.within_bound(holes, child_total):
+                kept.append((rows, cols, cell_mask, child_total))
+        state = (n, m, p, covered, used)
+        assert got == kept, state
+        failing = len(every) - len(kept)
+        assert searcher.prunes == ({"counting": failing} if failing else {}), state
+        assert searcher.nodes == 0
+        dropped += failing
+    # the bound rejects children often enough for this to test it
+    assert dropped >= 200
 
 
 def test_prefixes_match_product_definition():
     # the size-bounded enumeration yields what filtering the whole product
-    # of prefix lengths yields, in the same order
+    # of prefix lengths yields, in the same order, each union with the
+    # union of its lines' cells and the sum of their gains
     rng = random.Random(20240604)
     for _ in range(200):
         lines = rng.sample(range(12), rng.randint(0, 8))
         cuts = sorted(rng.sample(range(1, len(lines)), rng.randint(0, max(0, len(lines) - 1))))
-        classes = [lines[i:j] for i, j in zip([0] + cuts, cuts + [len(lines)]) if i < j]
+        classes = [tuple(lines[i:j]) for i, j in zip([0] + cuts, cuts + [len(lines)]) if i < j]
+        cells = {x: rng.getrandbits(16) for x in lines}
+        gains = [rng.randint(-3, 3) for _ in classes]
+        records = []
+        for cls, gain in zip(classes, gains):
+            masks = [0]
+            for x in cls:
+                masks.append(masks[-1] | cells[x])
+            records.append((cls, masks, gain))
         for low in range(-1, len(lines) + 2):
             for high in range(low, len(lines) + 2):
-                want = [
-                    tuple(sorted(x for cls, k in zip(classes, lengths) for x in cls[:k]))
-                    for lengths in product(*(range(len(cls) + 1) for cls in classes))
-                    if low <= sum(lengths) <= high
-                ]
-                assert _prefixes(classes, low, high) == want, (classes, low, high)
+                want = []
+                for lengths in product(*(range(len(cls) + 1) for cls in classes)):
+                    if low <= sum(lengths) <= high:
+                        union = tuple(x for cls, k in zip(classes, lengths) for x in cls[:k])
+                        reach = 0
+                        for x in union:
+                            reach |= cells[x]
+                        want.append((union, reach, sum(map(operator.mul, lengths, gains))))
+                assert _prefixes(records, low, high) == want, (classes, low, high)
 
 
 @pytest.mark.parametrize(
     "cell, nodes, prunes",
     [
-        ((6, 4, 2), 17950, {"counting": 11523, "no_candidates": 1463}),
-        ((7, 3, 3), 1824, {"counting": 1538, "no_candidates": 141}),
+        ((6, 4, 2), 6427, {"counting": 11535, "no_candidates": 3137}),
+        ((7, 3, 3), 286, {"counting": 1562, "no_candidates": 199}),
     ],
     ids=["6,4,2", "7,3,3"],
 )
@@ -398,12 +451,23 @@ def test_counting_bound_prunes_only_dead_states():
     assert fired >= 20
 
 
+def line_counts(n, m, p, covered, used):
+    """(counts, caps, total) of the state (covered, used), each line counted
+    from scratch: u_L uncovered cells, s_L = m - used_L uses left, cap_L =
+    s_L - [u_L > (p-1)*s_L] on a line with an uncovered cell, else 0, and
+    their sum.  Rows are lines 0..n-1 and columns lines n..2n-1."""
+    holes = [[not covered >> (r * n + c) & 1 for c in range(n)] for r in range(n)]
+    counts = [sum(row) for row in holes] + [sum(row[c] for row in holes) for c in range(n)]
+    caps = [
+        (m - k) - (u > (p - 1) * (m - k)) if u else 0 for k, u in zip(used, counts)
+    ]
+    return counts, caps, sum(caps)
+
+
 def recount(n, m, p, chosen):
     """(covered, used, counts, caps, total) of the state the ``chosen``
-    rectangles reach from the empty grid, each line counted from scratch:
-    u_L uncovered cells, s_L = m - used_L uses left, cap_L = s_L -
-    [u_L > (p-1)*s_L] on a line with an uncovered cell, else 0.  Rows are
-    lines 0..n-1 and columns lines n..2n-1, in ``chosen`` as in ``used``."""
+    rectangles reach from the empty grid, counted from scratch by
+    ``line_counts``; ``chosen`` names columns by line id, as ``used`` does."""
     covered, used = 0, [0] * (2 * n)
     for rows, cols in chosen:
         for x in rows + cols:
@@ -411,12 +475,7 @@ def recount(n, m, p, chosen):
         for r in rows:
             for c in cols:
                 covered |= 1 << (r * n + c - n)
-    holes = [[not covered >> (r * n + c) & 1 for c in range(n)] for r in range(n)]
-    counts = [sum(row) for row in holes] + [sum(row[c] for row in holes) for c in range(n)]
-    caps = [
-        (m - k) - (u > (p - 1) * (m - k)) if u else 0 for k, u in zip(used, counts)
-    ]
-    return covered, used, counts, caps, sum(caps)
+    return (covered, used, *line_counts(n, m, p, covered, used))
 
 
 def checked_search(n, m, p):
@@ -441,4 +500,4 @@ def test_handed_down_counts_match_recount():
     cells = [(n, m, p) for n in range(1, 6) for m in range(1, 6) for p in range(1, 7)]
     cells += [(6, 4, 2), (7, 3, 3)]
     nodes = [checked_search(*cell) for cell in cells]
-    assert nodes[-2:] == [17950, 1824]
+    assert nodes[-2:] == [6427, 286]
