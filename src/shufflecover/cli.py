@@ -17,6 +17,7 @@ table.  Data goes to stdout, diagnostics to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -79,7 +80,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built once per process: parse_args keeps no state between calls, and
+    # building the tree costs more than most commands' own work.
     parser = _Parser(prog="shufflecover", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -173,9 +177,9 @@ def _cmd_generate(args) -> int:
     # kpartite
     if args.n is None or args.m is None or args.k is None:
         raise _UsageError("--kind kpartite requires --n, --m, and --k")
-    cover = construct_kpartite_avoiding(args.n, args.m, args.k)
     if args.fmt == "matrix":
         raise _UsageError("k-partite covers have no matrix form; use --format json")
+    cover = construct_kpartite_avoiding(args.n, args.m, args.k)
     _write_output(args.out, json.dumps(formats.kpartite_to_obj(cover)) + "\n")
     return EX_OK
 

@@ -58,7 +58,7 @@ def construct_mod_m(n: int, m: int) -> ColorMatrix:
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
-    return ColorMatrix(tuple(tuple(i % m for _ in range(n)) for i in range(n)))
+    return ColorMatrix(tuple((i % m,) * n for i in range(n)))
 
 
 def construct_recursive_matrix(k: int) -> ColorMatrix:
@@ -75,20 +75,15 @@ def construct_recursive_matrix(k: int) -> ColorMatrix:
     Per-vertex color counts double each step: level k is 3*2^(k-2)-local.
     """
     params = RecursiveMatrixParams(k)
-    cells = [list(row) for row in _BASE_4X4]
+    cells = _BASE_4X4
     for _ in range(2, params.k):
-        mu = max(max(row) for row in cells)
-        size = len(cells)
-        grown = [[0] * (2 * size) for _ in range(2 * size)]
-        for r in range(size):
-            for c in range(size):
-                base = cells[r][c]
-                grown[r][c] = base
-                grown[r][c + size] = mu + base
-                grown[r + size][c] = 2 * mu + base
-                grown[r + size][c + size] = 3 * mu + base
-        cells = grown
-    return ColorMatrix(tuple(tuple(row) for row in cells))
+        mu = max(map(max, cells))
+        top = tuple(row + tuple(map(mu.__add__, row)) for row in cells)
+        bottom = tuple(
+            tuple(map((2 * mu).__add__, row)) + tuple(map((3 * mu).__add__, row)) for row in cells
+        )
+        cells = top + bottom
+    return ColorMatrix(cells)
 
 
 def construct_kpartite_avoiding(n: int, m: int, k: int) -> KPartiteCover:

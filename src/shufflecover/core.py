@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 
 class OverlapError(ValueError):
@@ -69,7 +69,10 @@ class ColorMatrix:
         for row in cells:
             if len(row) != width:
                 raise ValueError("ragged matrix rows")
-            check_ints(COLOR_IDS, *row)
+            # a row of exact non-negative ints passes in C; any other row
+            # goes through check_ints, which names its first bad value
+            if {*map(type, row)} != {int} or min(row) < 0:
+                check_ints(COLOR_IDS, *row)
 
     @property
     def n_rows(self) -> int:
@@ -80,7 +83,7 @@ class ColorMatrix:
         return len(self.cells[0])
 
     def colors(self) -> set[int]:
-        return {c for row in self.cells for c in row}
+        return set().union(*self.cells)
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,10 @@ class Rectangle:
     cols: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", frozenset(self.rows))
-        object.__setattr__(self, "cols", frozenset(self.cols))
+        if type(self.rows) is not frozenset:
+            object.__setattr__(self, "rows", frozenset(self.rows))
+        if type(self.cols) is not frozenset:
+            object.__setattr__(self, "cols", frozenset(self.cols))
         check_ints(COLOR_IDS, self.color)
         if not self.rows or not self.cols:
             raise ValueError("rectangle sides must be nonempty")
@@ -294,35 +299,53 @@ class KPartiteCoverageViolation:
 # validators and conversions
 
 
-def _color_spans(matrix: ColorMatrix) -> dict[int, tuple[set[int], set[int]]]:
-    """Rows and columns each color occupies: its rectangle, if the matrix is
-    shuffle-preserved."""
-    spans: dict[int, tuple[set[int], set[int]]] = {}
+_Spans = dict[int, tuple[list[list[int]], set[int]]]
+
+
+def _color_spans(matrix: ColorMatrix) -> tuple[int, _Spans]:
+    """Rows and columns each color occupies (its rectangle, if the matrix
+    is shuffle-preserved), read from each distinct row once.
+
+    Returns the number of distinct rows and, per color, the groups of equal
+    rows that hold it (one list of row indices per distinct row) and its
+    columns.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
     for r, row in enumerate(matrix.cells):
+        groups.setdefault(row, []).append(r)
+    spans: _Spans = {}
+    for row, rows in groups.items():
         for c, color in enumerate(row):
-            rows, cols = spans.setdefault(color, (set(), set()))
-            rows.add(r)
-            cols.add(c)
-    return spans
+            span = spans.get(color)
+            if span is None:
+                spans[color] = ([rows], {c})
+            else:
+                span[1].add(c)
+                if span[0][-1] is not rows:
+                    span[0].append(rows)
+    return len(groups), spans
 
 
-def _span_violation(
-    matrix: ColorMatrix, spans: dict[int, tuple[set[int], set[int]]]
-) -> ShuffleViolation | None:
-    # Every cell lies in its own color's span, so the span areas sum to the
-    # cell count exactly when no span holds a cell of another color.
-    if sum(len(rows) * len(cols) for rows, cols in spans.values()) == matrix.n_rows * matrix.n_cols:
+def _span_violation(matrix: ColorMatrix, n_distinct: int, spans: _Spans) -> ShuffleViolation | None:
+    # A distinct row holds each of its colors on some of that color's
+    # columns, and those cells make up its n_cols.  So summed over colors,
+    # (distinct rows holding it) x (its columns) is at least n_distinct x
+    # n_cols, with equality exactly when every row holds each of its colors
+    # on all of that color's columns: when no span holds another color.
+    area = sum(len(groups) * len(cols) for groups, cols in spans.values())
+    if area == n_distinct * matrix.n_cols:
         return None
     for color in sorted(spans):
-        rows, cols = spans[color]
-        for r in sorted(rows):
+        groups, cols = spans[color]
+        rows, cols = sorted(chain.from_iterable(groups)), sorted(cols)
+        for r in rows:
             row = matrix.cells[r]
-            for c in sorted(cols):
+            for c in cols:
                 if row[c] != color:
                     # (r, c) is in the rectangle span but miscolored; pick
                     # witnesses from the same row and column.
-                    v = next(x for x in sorted(cols) if row[x] == color)
-                    u_prime = next(x for x in sorted(rows) if matrix.cells[x][c] == color)
+                    v = next(x for x in cols if row[x] == color)
+                    u_prime = next(x for x in rows if matrix.cells[x][c] == color)
                     return ShuffleViolation(u=r, u_prime=u_prime, v=v, v_prime=c, color=color)
     return None
 
@@ -334,7 +357,7 @@ def validate_shuffle_preserved(matrix: ColorMatrix) -> ShuffleViolation | None:
     against the matrix: (u, v) and (u_prime, v_prime) carry the color,
     (u, v_prime) does not.
     """
-    return _span_violation(matrix, _color_spans(matrix))
+    return _span_violation(matrix, *_color_spans(matrix))
 
 
 def matrix_to_rectangles(matrix: ColorMatrix) -> RectangleCover:
@@ -343,13 +366,13 @@ def matrix_to_rectangles(matrix: ColorMatrix) -> RectangleCover:
     Raises :class:`NotShufflePreserved` (carrying the violation) otherwise.
     Rectangles come out sorted by color id.
     """
-    spans = _color_spans(matrix)
-    violation = _span_violation(matrix, spans)
+    n_distinct, spans = _color_spans(matrix)
+    violation = _span_violation(matrix, n_distinct, spans)
     if violation is not None:
         raise NotShufflePreserved(violation)
     rects = tuple(
-        Rectangle(color=color, rows=frozenset(spans[color][0]), cols=frozenset(spans[color][1]))
-        for color in sorted(spans)
+        Rectangle(color=color, rows=frozenset(chain.from_iterable(groups)), cols=frozenset(cols))
+        for color, (groups, cols) in sorted(spans.items())
     )
     return RectangleCover(n_rows=matrix.n_rows, n_cols=matrix.n_cols, rectangles=rects)
 
@@ -427,10 +450,8 @@ def local_profile(cover: RectangleCover) -> LocalProfile:
 
 def matrix_local_profile(matrix: ColorMatrix) -> LocalProfile:
     """Color counts per vertex for a plain matrix (no shuffle assumption)."""
-    row_counts = tuple(len(set(row)) for row in matrix.cells)
-    col_counts = tuple(
-        len({matrix.cells[r][c] for r in range(matrix.n_rows)}) for c in range(matrix.n_cols)
-    )
+    row_counts = tuple(map(len, map(set, matrix.cells)))
+    col_counts = tuple(map(len, map(set, zip(*matrix.cells))))
     return LocalProfile(
         row_counts=row_counts,
         col_counts=col_counts,

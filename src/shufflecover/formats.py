@@ -23,8 +23,11 @@ class FormatError(ValueError):
 
 
 def write_matrix(matrix: ColorMatrix) -> str:
-    lines = [f"{matrix.n_rows} {matrix.n_cols}"]
-    lines.extend(" ".join(str(c) for c in row) for row in matrix.cells)
+    # one C-level format for every row, applied once per distinct row (a
+    # mod-m matrix has m of them)
+    row_format = " ".join(["%d"] * matrix.n_cols)
+    text = {row: row_format % row for row in set(matrix.cells)}
+    lines = [f"{matrix.n_rows} {matrix.n_cols}", *map(text.__getitem__, matrix.cells)]
     return "\n".join(lines) + "\n"
 
 
@@ -44,13 +47,17 @@ def parse_matrix(text: str) -> ColorMatrix:
     if len(lines) != n_rows + 1:
         raise FormatError(f"expected {n_rows} matrix rows, found {len(lines) - 1}")
     rows = []
+    parsed: dict[str, tuple[int, ...]] = {}  # each distinct line is parsed once
     for line in lines[1:]:
-        try:
-            row = tuple(int(tok) for tok in line.split())
-        except ValueError as exc:
-            raise FormatError(f"bad matrix row: {line!r}") from exc
-        if len(row) != n_cols:
-            raise FormatError(f"row has {len(row)} entries, expected {n_cols}")
+        row = parsed.get(line)
+        if row is None:
+            try:
+                row = tuple(map(int, line.split()))
+            except ValueError as exc:
+                raise FormatError(f"bad matrix row: {line!r}") from exc
+            if len(row) != n_cols:
+                raise FormatError(f"row has {len(row)} entries, expected {n_cols}")
+            parsed[line] = row
         rows.append(row)
     try:
         return ColorMatrix(tuple(rows))
@@ -67,7 +74,7 @@ def rectangle_to_obj(rect: Rectangle) -> dict[str, Any]:
 
 
 def _rectangle_from_obj(obj: Any) -> Rectangle:
-    if not isinstance(obj, dict) or not {"color", "rows", "cols"} <= set(obj):
+    if not isinstance(obj, dict) or not obj.keys() >= {"color", "rows", "cols"}:
         raise FormatError("rectangle objects need color, rows, cols")
     try:
         rows, cols = obj["rows"], obj["cols"]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from shufflecover import write_matrix, construct_recursive_matrix
+from shufflecover import cli, write_matrix, construct_recursive_matrix
 from shufflecover.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,10 +42,16 @@ def test_generate_kpartite_json(capsys):
     assert obj["k"] == 3 and len(obj["pairs"]) == 3
 
 
-def test_generate_kpartite_matrix_is_usage_error(capsys):
+def test_generate_kpartite_matrix_is_usage_error(monkeypatch, capsys):
+    # --format is checked before the cover is built
+    def build_cover(*args):
+        raise AssertionError("the cover was built before --format was checked")
+
+    monkeypatch.setattr(cli, "construct_kpartite_avoiding", build_cover)
     code = run(["generate", "--kind", "kpartite", "--n", "4", "--m", "2", "--k", "3",
                 "--format", "matrix"])
     assert code == 64
+    assert "no matrix form" in capsys.readouterr().err
 
 
 def test_generate_missing_args_usage_error():
@@ -188,6 +194,27 @@ def test_non_integer_ids_and_sizes_are_data_errors(monkeypatch, capsys, obj, arg
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("bad", ["-1", "2.5", "True"])
+@pytest.mark.parametrize("pos", [0, 150, 299])
+def test_bad_value_in_long_row_is_data_error(monkeypatch, capsys, bad, pos):
+    row = [str(c) for c in range(300)]
+    row[pos] = bad
+    feed(monkeypatch, f"1 300\n{' '.join(row)}\n")
+    assert run(["validate"]) == 65
+    err = capsys.readouterr().err
+    if bad == "-1":  # parses as an int, so the matrix refuses it
+        assert err == "input error: color ids must be non-negative integers, got -1\n"
+    else:
+        assert err.startswith("input error: bad matrix row: ")
+    rows = list(range(1000, 1300))
+    rows[pos] = json.loads(bad.lower())
+    rect = {"color": 0, "rows": rows, "cols": [0]}
+    feed(monkeypatch, json.dumps({"n_rows": 1300, "n_cols": 1, "rectangles": [rect]}))
+    assert run(["validate"]) == 65
+    expected = f"indices must be non-negative integers, got {rows[pos]!r}"
+    assert capsys.readouterr().err == f"input error: bad rectangle: {expected}\n"
 
 
 def test_detect_none_and_witness(monkeypatch, capsys):
@@ -364,3 +391,48 @@ def test_console_script_detect():
         input=GOLDEN_TEXT, capture_output=True, text=True, env=CHILD_ENV,
     )
     assert det.returncode == 0 and det.stdout.strip() == "none"
+
+
+# one call of every subcommand, then a usage error and a data error
+REPEATED_CALLS = [
+    (["generate", "--kind", "recursive", "--k", "3"], ""),
+    (["generate", "--kind", "modm", "--n", "6", "--m", "2", "--format", "json"], ""),
+    (["validate", "--max-local", "3"], GOLDEN_TEXT),
+    (["detect", "--p", "1"], GOLDEN_TEXT),
+    (["bound", "--n", "9", "--m", "3"], ""),
+    (["search", "--n", "4", "--m", "3", "--p", "2"], ""),
+    (["superimposed", "--t", "1"], FAMILY_TEXT),
+    (["table", "--n-max", "2"], ""),
+    (["generate", "--kind", "modm", "--n", "5"], ""),
+    (["validate"], "2 2\n1 2\n"),
+]
+
+
+def test_repeated_runs_build_the_parser_once(monkeypatch, capsys):
+    builds = []
+
+    class CountingParser(cli._Parser):
+        def add_subparsers(self, **kwargs):  # called once per parser build
+            builds.append(self)
+            return super().add_subparsers(**kwargs)
+
+    def one_round():
+        results = []
+        for argv, stdin in REPEATED_CALLS:
+            feed(monkeypatch, stdin)
+            code = run(argv)
+            out = capsys.readouterr().out
+            # the search stats and table rows carry run times
+            out = re.sub(r'"millis": [0-9.e+-]+', '"millis": _', out)
+            results.append((code, re.sub(r",\d+$", ",_", out, flags=re.M)))
+        return results
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    try:
+        first, second = one_round(), one_round()
+    finally:
+        cli._build_parser.cache_clear()
+    assert [code for code, _ in first] == [0, 0, 0, 0, 0, 0, 0, 0, 64, 65]
+    assert second == first
+    assert len(builds) == 1

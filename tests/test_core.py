@@ -4,7 +4,11 @@ Expected values for the 4x4 golden matrix were worked out by hand from its
 color spans before the conversion code existed.
 """
 
+from itertools import chain
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shufflecover import (
     ColorMatrix,
@@ -26,11 +30,14 @@ from shufflecover import (
     locality_violation,
     matrix_local_profile,
     matrix_to_rectangles,
+    parse_matrix,
     rectangles_to_matrix,
     triple_count,
     validate_kpartite,
     validate_shuffle_preserved,
+    write_matrix,
 )
+from shufflecover.core import _color_spans
 
 M2_ROWS = (
     (1, 5, 2, 2),
@@ -80,6 +87,24 @@ def test_matrix_rejects_bad_colors():
         ColorMatrix(((1, -2),))
     with pytest.raises(ValueError):
         ColorMatrix(((1, True),))
+
+
+@pytest.mark.parametrize("bad", [True, -1, 2.5])
+@pytest.mark.parametrize("pos", [0, 1, 150, 299])
+def test_long_rows_and_sides_refuse_bad_values(bad, pos):
+    # a second bad value after the first: the message names the first
+    row = list(range(1000, 1300))
+    row[-1] = -7
+    row[pos] = bad
+    with pytest.raises(ValueError) as exc:
+        ColorMatrix((tuple(range(300)), tuple(row)))
+    assert str(exc.value) == f"color ids must be non-negative integers, got {bad!r}"
+    side = list(range(1000, 1300))
+    side[pos] = bad
+    for rows, cols in ((side, [0]), ([0], side)):
+        with pytest.raises(ValueError) as exc:
+            Rectangle(color=0, rows=rows, cols=cols)
+        assert str(exc.value) == f"indices must be non-negative integers, got {bad!r}"
 
 
 def test_rectangle_normalizes_and_measures():
@@ -309,3 +334,108 @@ def test_kpartite_rejects_bad_pairs():
         mk_kpartite(2, 2, [(0, 1, ()), (0, 1, ())])
     with pytest.raises(ValueError):
         mk_kpartite(2, 2, [(0, 1, (full_rect(0, 3),))])
+
+
+# ---------------------------------------------------------------------------
+# span, profile and codec kernels against cell-by-cell reference code
+
+
+def reference_spans(cells):
+    spans = {}
+    for r, row in enumerate(cells):
+        for c, color in enumerate(row):
+            rows, cols = spans.setdefault(color, (set(), set()))
+            rows.add(r)
+            cols.add(c)
+    return spans
+
+
+def reference_violation(cells):
+    """First miscolored cell of the first color's span, scanned row-major,
+    with its witnesses taken from the same row and column."""
+    spans = reference_spans(cells)
+    for color in sorted(spans):
+        rows, cols = (sorted(side) for side in spans[color])
+        for r in rows:
+            for c in cols:
+                if cells[r][c] != color:
+                    v = next(x for x in cols if cells[r][x] == color)
+                    u_prime = next(x for x in rows if cells[x][c] == color)
+                    return ShuffleViolation(u=r, u_prime=u_prime, v=v, v_prime=c, color=color)
+    return None
+
+
+@st.composite
+def matrices(draw):
+    """Small matrices: blow-ups of a grid of distinct colors (shuffle-
+    preserved, with repeated or all-distinct rows), the same with one cell
+    recolored (a planted swap violation, unless the recoloring happens to
+    keep the property), or cells drawn from a small palette."""
+    n_rows, n_cols = draw(st.one_of(
+        st.tuples(st.just(1), st.integers(1, 12)),
+        st.tuples(st.integers(1, 12), st.just(1)),
+        st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    ))
+    kind = draw(st.sampled_from(["blowup", "distinct_rows", "planted", "palette"]))
+    if kind == "palette":
+        palette = draw(st.integers(1, 4))
+        flat = draw(st.lists(st.integers(0, palette), min_size=n_rows * n_cols,
+                             max_size=n_rows * n_cols))
+        return ColorMatrix(tuple(tuple(flat[r * n_cols:(r + 1) * n_cols]) for r in range(n_rows)))
+    if kind == "distinct_rows":
+        row_class = list(range(n_rows))
+    else:
+        row_class = draw(st.lists(st.integers(0, n_rows - 1), min_size=n_rows, max_size=n_rows))
+    col_class = draw(st.lists(st.integers(0, n_cols - 1), min_size=n_cols, max_size=n_cols))
+    offset = draw(st.integers(0, 50))
+    cells = [[offset + row_class[r] * n_cols + col_class[c] for c in range(n_cols)]
+             for r in range(n_rows)]
+    if kind == "planted":
+        r, c = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1))
+        r2, c2 = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1))
+        cells[r][c] = cells[r2][c2]
+    return ColorMatrix(tuple(map(tuple, cells)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_span_kernels_match_cell_by_cell_reference(matrix):
+    cells = matrix.cells
+    n_distinct, spans = _color_spans(matrix)
+    assert n_distinct == len(set(cells))
+    assert {color: (set(chain.from_iterable(groups)), cols)
+            for color, (groups, cols) in spans.items()} == reference_spans(cells)
+    for groups, _ in spans.values():  # each group is one distinct row, listed once
+        assert all(len({cells[r] for r in group}) == 1 for group in groups)
+        assert len({cells[group[0]] for group in groups}) == len(groups)
+
+    expected = reference_violation(cells)
+    assert validate_shuffle_preserved(matrix) == expected
+    if expected is None:
+        cover = matrix_to_rectangles(matrix)
+        assert [(r.color, r.rows, r.cols) for r in cover.rectangles] == [
+            (color, frozenset(rows), frozenset(cols))
+            for color, (rows, cols) in sorted(reference_spans(cells).items())
+        ]
+    else:
+        with pytest.raises(NotShufflePreserved) as exc:
+            matrix_to_rectangles(matrix)
+        assert exc.value.violation == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_profile_and_codec_kernels_match_cell_by_cell_reference(matrix):
+    cells = matrix.cells
+    row_counts = tuple(len({color for color in row}) for row in cells)
+    col_counts = tuple(len({row[c] for row in cells}) for c in range(matrix.n_cols))
+    prof = matrix_local_profile(matrix)
+    assert (prof.row_counts, prof.col_counts) == (row_counts, col_counts)
+    assert prof.local_width == max(row_counts + col_counts)
+    assert prof.global_colors == len({color for row in cells for color in row})
+
+    text = write_matrix(matrix)
+    lines = [f"{matrix.n_rows} {matrix.n_cols}"]
+    lines += [" ".join(str(color) for color in row) for row in cells]
+    assert text == "\n".join(lines) + "\n"
+    assert parse_matrix(text) == matrix
