@@ -24,6 +24,7 @@ import sys
 
 from . import formats
 from .core import (
+    CliqueFamily,
     ColorMatrix,
     KPartiteCover,
     NotShufflePreserved,
@@ -45,7 +46,6 @@ from .constructions import (
     construct_recursive_matrix,
 )
 from .detect import (
-    CliqueFamily,
     InstanceTooLarge,
     TooManySubsets,
     find_mono_biclique_brute,

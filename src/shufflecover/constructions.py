@@ -16,9 +16,8 @@ fodder:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .core import ColorMatrix, KPartiteCover, Rectangle, RectangleCover
+from .core import N_AND_M, ColorMatrix, KPartiteCover, Rectangle, RectangleCover, check_ints
 
 # Hand-built 4x4 base: every color class is a 1x2 or 2x1 rectangle, every
 # row and column sees exactly 3 colors, and no color fills a 2x2.
@@ -34,21 +33,6 @@ class GenerationFailed(RuntimeError):
     """Random cover generation exhausted its retry budget."""
 
 
-@dataclass(frozen=True)
-class RecursiveMatrixParams:
-    """Doubling parameters: level k >= 2 yields a 2^k x 2^k matrix."""
-
-    k: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("recursion starts at the 4x4 base, k >= 2")
-
-    @property
-    def side(self) -> int:
-        return 1 << self.k
-
-
 def construct_mod_m(n: int, m: int) -> ColorMatrix:
     """Color cell (i, j) with i mod m.
 
@@ -56,13 +40,12 @@ def construct_mod_m(n: int, m: int) -> ColorMatrix:
     result is an m-coloring, hence m-local, and shuffle-preserved: color r
     occupies exactly the rows congruent to r crossed with all columns.
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
+    check_ints(N_AND_M, n, m, low=1)
     return ColorMatrix(tuple((i % m,) * n for i in range(n)))
 
 
 def construct_recursive_matrix(k: int) -> ColorMatrix:
-    """Level-k doubling of the 4x4 base.
+    """Level-k doubling of the 4x4 base: a 2^k x 2^k matrix, for k >= 2.
 
     Each step surrounds the current matrix M (max entry mu) with shifted
     copies::
@@ -74,9 +57,9 @@ def construct_recursive_matrix(k: int) -> ColorMatrix:
     would have to sit inside a single block, and by induction none does.
     Per-vertex color counts double each step: level k is 3*2^(k-2)-local.
     """
-    params = RecursiveMatrixParams(k)
+    check_ints("the 4x4 base is level 2: k must be an integer of at least 2, got {!r}", k, low=2)
     cells = _BASE_4X4
-    for _ in range(2, params.k):
+    for _ in range(2, k):
         mu = max(map(max, cells))
         top = tuple(row + tuple(map(mu.__add__, row)) for row in cells)
         bottom = tuple(
@@ -98,10 +81,8 @@ def construct_kpartite_avoiding(n: int, m: int, k: int) -> KPartiteCover:
     With k = 2 this degenerates to the rectangle form of
     :func:`construct_mod_m`.
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
-    if k < 2:
-        raise ValueError("need at least two parts")
+    check_ints(N_AND_M, n, m, low=1)
+    check_ints("part count k must be an integer of at least 2, got {!r}", k, low=2)
     all_of_part = frozenset(range(n))
     mod_rects = tuple(
         Rectangle(color=r, rows=frozenset(range(r, n, m)), cols=all_of_part)
@@ -134,8 +115,7 @@ def random_cover(n: int, m: int, max_min_side: int, seed: int) -> RectangleCover
     :class:`GenerationFailed` when a retry budget (200 attempts) runs out,
     e.g. random_cover(4, 1, 1, seed) for every seed.
     """
-    if n < 1 or m < 1 or max_min_side < 1:
-        raise ValueError("n, m, max_min_side must be positive")
+    check_ints("n, m, max_min_side must be positive integers, got {!r}", n, m, max_min_side, low=1)
     rng = random.Random(seed)
     for attempt in range(200):
         # rotate three flavors: cell-greedy explores loose instances well,

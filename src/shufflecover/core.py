@@ -39,12 +39,14 @@ class NotShufflePreserved(ValueError):
 
 COLOR_IDS = "color ids must be non-negative integers, got {!r}"
 INDICES = "indices must be non-negative integers, got {!r}"
+N_AND_M = "n and m must be positive integers, got {!r}"
 
 
 def check_ints(message: str, *values: object, low: int = 0) -> None:
     """Raise ``ValueError(message)`` unless every value is an int (a bool is
-    not) of at least ``low``: the one check on the ids and sizes an input
-    brings.  A ``{!r}`` in ``message`` becomes the offending value."""
+    not) of at least ``low``: the one check on every size, id, count and
+    limit an input or a caller brings.  A ``{!r}`` in ``message`` becomes
+    the offending value."""
     for value in values:
         # an exact int, the common case, skips both isinstance calls
         not_int = type(value) is not int and (isinstance(value, bool) or not isinstance(value, int))
@@ -223,6 +225,20 @@ class KPartiteWitness:
 
 
 @dataclass(frozen=True)
+class SuperimposedWitness:
+    """A color subset together with the vertices common to all its cliques."""
+
+    colors: frozenset[int]
+    vertices: frozenset[int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "colors", frozenset(self.colors))
+        object.__setattr__(self, "vertices", frozenset(self.vertices))
+
+    kind = "superimposed_witness"
+
+
+@dataclass(frozen=True)
 class KPartiteCover:
     """Coloring of a complete k-partite multigraph, all parts of size n.
 
@@ -242,9 +258,9 @@ class KPartiteCover:
         canon = []
         seen_pairs = set()
         for a, b, rects in self.pairs:
-            if not (0 <= a < b < self.k):
+            check_ints("part ids must be non-negative integers, got {!r}", a, b)
+            if not a < b < self.k:
                 raise ValueError(f"bad part pair ({a}, {b})")
-            check_ints("part ids must be integers, got {!r}", a, b)
             if (a, b) in seen_pairs:
                 raise ValueError(f"duplicate part pair ({a}, {b})")
             seen_pairs.add((a, b))
@@ -293,6 +309,49 @@ class KPartiteCoverageViolation:
     col: int
 
     kind = "kpartite_coverage"
+
+
+@dataclass(frozen=True)
+class CliqueFamily:
+    """One clique of vertices per color on a shared vertex set 0..n-1."""
+
+    n_vertices: int
+    cliques: tuple[tuple[int, frozenset[int]], ...]
+
+    def __post_init__(self):
+        check_ints("vertex count must be a positive integer, got {!r}", self.n_vertices, low=1)
+        canon = []
+        seen = set()
+        for color, vertices in self.cliques:
+            check_ints(COLOR_IDS, color)
+            if color in seen:
+                raise ValueError(f"duplicate color {color}")
+            seen.add(color)
+            vertices = frozenset(vertices)
+            if not vertices:
+                raise ValueError(f"clique for color {color} is empty")
+            out_of_range = f"clique for color {color} has out-of-range vertices"
+            check_ints(out_of_range, *vertices)
+            if max(vertices) >= self.n_vertices:
+                raise ValueError(out_of_range)
+            canon.append((color, vertices))
+        canon.sort(key=lambda e: e[0])
+        object.__setattr__(self, "cliques", tuple(canon))
+
+    @property
+    def m(self) -> int:
+        return len(self.cliques)
+
+    def membership_histogram(self) -> dict[int, int]:
+        """d_i: how many vertices lie in exactly i cliques (i >= 1 only)."""
+        per_vertex: dict[int, int] = {}
+        for _, vertices in self.cliques:
+            for v in vertices:
+                per_vertex[v] = per_vertex.get(v, 0) + 1
+        hist: dict[int, int] = {}
+        for count in per_vertex.values():
+            hist[count] = hist.get(count, 0) + 1
+        return hist
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +521,7 @@ def matrix_local_profile(matrix: ColorMatrix) -> LocalProfile:
 
 def locality_violation(profile: LocalProfile, limit: int) -> LocalityViolation | None:
     """First vertex (rows before cols) exceeding ``limit`` colors, if any."""
-    if limit < 0:
-        raise ValueError("limit must be non-negative")
+    check_ints("limit must be a non-negative integer, got {!r}", limit)
     for i, count in enumerate(profile.row_counts):
         if count > limit:
             return LocalityViolation(side="row", index=i, count=count, limit=limit)
@@ -530,8 +588,7 @@ def guaranteed_p(n: int, m: int) -> int:
     For m >= 2 this is the largest p <= n with 2(p-1)(m-1) < n.  A 1-local
     coloring collapses to a single color, so m = 1 gives n.
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
+    check_ints(N_AND_M, n, m, low=1)
     if m == 1:
         return n
     return min(n, (n - 1) // (2 * (m - 1)) + 1)
@@ -541,6 +598,5 @@ def avoidance_threshold(n: int, m: int) -> int:
     """ceil(n/m): the mod-m construction packs each color into at most this
     many rows, so monochromatic K_{p,p} with p above this value are avoidable
     by an m-coloring (hence also m-locally)."""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
+    check_ints(N_AND_M, n, m, low=1)
     return -(-n // m)

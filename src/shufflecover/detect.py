@@ -16,17 +16,17 @@ for the best t-subset; :func:`max_superimposed` finds it exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Union
 
 from .core import (
-    COLOR_IDS,
+    CliqueFamily,
     ColorMatrix,
     KPartiteCover,
     KPartiteWitness,
     NotShufflePreserved,
     RectangleCover,
+    SuperimposedWitness,
     Witness,
     check_kpartite_coverage,
     check_ints,
@@ -42,61 +42,8 @@ class TooManySubsets(ValueError):
     """Exact superimposed search would enumerate too many color subsets."""
 
 
-@dataclass(frozen=True)
-class CliqueFamily:
-    """One clique of vertices per color on a shared vertex set 0..n-1."""
-
-    n_vertices: int
-    cliques: tuple[tuple[int, frozenset[int]], ...]
-
-    def __post_init__(self):
-        check_ints("vertex count must be a positive integer, got {!r}", self.n_vertices, low=1)
-        canon = []
-        seen = set()
-        for color, vertices in self.cliques:
-            check_ints(COLOR_IDS, color)
-            if color in seen:
-                raise ValueError(f"duplicate color {color}")
-            seen.add(color)
-            vertices = frozenset(vertices)
-            if not vertices:
-                raise ValueError(f"clique for color {color} is empty")
-            out_of_range = f"clique for color {color} has out-of-range vertices"
-            check_ints(out_of_range, *vertices)
-            if max(vertices) >= self.n_vertices:
-                raise ValueError(out_of_range)
-            canon.append((color, vertices))
-        canon.sort(key=lambda e: e[0])
-        object.__setattr__(self, "cliques", tuple(canon))
-
-    @property
-    def m(self) -> int:
-        return len(self.cliques)
-
-    def membership_histogram(self) -> dict[int, int]:
-        """d_i: how many vertices lie in exactly i cliques (i >= 1 only)."""
-        per_vertex: dict[int, int] = {}
-        for _, vertices in self.cliques:
-            for v in vertices:
-                per_vertex[v] = per_vertex.get(v, 0) + 1
-        hist: dict[int, int] = {}
-        for count in per_vertex.values():
-            hist[count] = hist.get(count, 0) + 1
-        return hist
-
-
-@dataclass(frozen=True)
-class SuperimposedWitness:
-    """A color subset together with the vertices common to all its cliques."""
-
-    colors: frozenset[int]
-    vertices: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "colors", frozenset(self.colors))
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-
-    kind = "superimposed_witness"
+_P = "p must be a positive integer, got {!r}"
+_GUARD = "size guards must be positive integers, got {!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +58,7 @@ def find_mono_biclique_fast(cover: RectangleCover, p: int) -> Witness | None:
     its lowest p rows and columns.  Shuffle-preservation makes this scan
     complete: every monochromatic biclique sits inside its color's rectangle.
     """
-    if p < 1:
-        raise ValueError("p must be positive")
+    check_ints(_P, p, low=1)
     for rect in cover.rectangles:
         if len(rect.rows) >= p and len(rect.cols) >= p:
             return Witness(
@@ -143,8 +89,7 @@ def _edge_triples(graph: BruteInput) -> tuple[int, int, int, list[EdgeTriple]]:
     edges = list(graph)
     n_rows = n_cols = 0
     for u, v, color in edges:
-        if u < 0 or v < 0 or color < 0:
-            raise ValueError("edge triples must be non-negative (row, col, color)")
+        check_ints("edge triple entries must be non-negative integers, got {!r}", u, v, color)
         n_rows = max(n_rows, u + 1)
         n_cols = max(n_cols, v + 1)
     return n_rows, n_cols, edges
@@ -165,8 +110,8 @@ def find_mono_biclique_brute(
     chosen so column masks fit comfortably in machine words) or p > max_p
     (default 6); both limits are overridable keywords.
     """
-    if p < 1:
-        raise ValueError("p must be positive")
+    check_ints(_P, p, low=1)
+    check_ints(_GUARD, max_n, max_p, low=1)
     n_rows, n_cols, edges = _edge_triples(graph)
     if n_rows == 0 or n_cols == 0 or p > min(n_rows, n_cols):
         return None
@@ -203,6 +148,7 @@ def find_mono_biclique_brute(
 
 def verify_biclique_witness(graph: BruteInput, witness: Witness, p: int) -> bool:
     """Edge-by-edge check that the witness is a monochromatic K_{p,p}."""
+    check_ints(_P, p, low=1)
     if len(witness.rows) < p or len(witness.cols) < p:
         return False
     _, _, edges = _edge_triples(graph)
@@ -227,8 +173,7 @@ def find_mono_kpartite(cover: KPartiteCover, p: int) -> KPartiteWitness | None:
     :class:`NotShufflePreserved` (also used for incomplete coverage) on bad
     input.
     """
-    if p < 1:
-        raise ValueError("p must be positive")
+    check_ints(_P, p, low=1)
     violation = validate_kpartite(cover) or check_kpartite_coverage(cover)
     if violation is not None:
         raise NotShufflePreserved(violation)  # type: ignore[arg-type]
@@ -252,8 +197,8 @@ def find_mono_kpartite_brute(
     avoidance constructions: walks p-subsets part by part, checking every
     cross edge against the raw edge sets.  Any color count is fine.
     """
-    if p < 1:
-        raise ValueError("p must be positive")
+    check_ints(_P, p, low=1)
+    check_ints(_GUARD, max_combos, low=1)
     if p > cover.n:
         return None
     per_part = math.comb(cover.n, p)
@@ -301,6 +246,7 @@ def find_mono_kpartite_brute(
 
 def verify_kpartite_witness(cover: KPartiteCover, witness: KPartiteWitness, p: int) -> bool:
     """Edge-by-edge check of a k-partite witness against the raw edges."""
+    check_ints(_P, p, low=1)
     if len(witness.parts) != cover.k or any(len(part) < p for part in witness.parts):
         return False
     edges: dict[tuple[int, int], set[tuple[int, int]]] = {}
@@ -323,6 +269,12 @@ def verify_kpartite_witness(cover: KPartiteCover, witness: KPartiteWitness, p: i
 # superimposed cliques
 
 
+def _check_t(family: CliqueFamily, t: int) -> None:
+    check_ints("t must be a positive integer, got {!r}", t, low=1)
+    if t > family.m:
+        raise ValueError(f"t must be in 1..{family.m}, got {t}")
+
+
 def superimposed_bound(family: CliqueFamily, t: int) -> int:
     """Averaging lower bound on the best t-subset intersection.
 
@@ -331,15 +283,13 @@ def superimposed_bound(family: CliqueFamily, t: int) -> int:
     the total, so the best subset meets at least the ceiling of the mean.
     Exact integer arithmetic throughout.
     """
-    m = family.m
-    if not 1 <= t <= m:
-        raise ValueError(f"t must be in 1..{m}, got {t}")
+    _check_t(family, t)
     total = sum(
         count * math.comb(i, t)
         for i, count in family.membership_histogram().items()
         if i >= t
     )
-    return -(-total // math.comb(m, t))
+    return -(-total // math.comb(family.m, t))
 
 
 def max_superimposed(
@@ -347,9 +297,9 @@ def max_superimposed(
 ) -> SuperimposedWitness:
     """Exact best t-subset by enumeration, lexicographically smallest color
     set on ties.  Raises :class:`TooManySubsets` past the subset guard."""
+    _check_t(family, t)
+    check_ints(_GUARD, max_subsets, low=1)
     m = family.m
-    if not 1 <= t <= m:
-        raise ValueError(f"t must be in 1..{m}, got {t}")
     if math.comb(m, t) > max_subsets:
         raise TooManySubsets(f"C({m}, {t}) exceeds the guard ({max_subsets})")
     by_color = dict(family.cliques)

@@ -8,10 +8,20 @@ violations and witnesses carry a ``kind`` discriminator.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+from itertools import chain
 from typing import Any
 
-from .core import INDICES, ColorMatrix, KPartiteCover, Rectangle, RectangleCover, check_ints
+from .core import (
+    INDICES,
+    CliqueFamily,
+    ColorMatrix,
+    KPartiteCover,
+    Rectangle,
+    RectangleCover,
+    check_ints,
+)
 
 
 class FormatError(ValueError):
@@ -69,24 +79,44 @@ def parse_matrix(text: str) -> ColorMatrix:
 # JSON object builders (plain dicts; callers json.dumps them)
 
 
+def _loader(what: str, bad: str, *keys: str):
+    """Wrap a JSON object builder: anything but a dict holding ``keys`` is
+    refused, and what the builder raises becomes a :class:`FormatError`."""
+    need, missing = frozenset(keys), f"{what} objects need {', '.join(keys)}"
+
+    def wrap(build):
+        @functools.wraps(build)
+        def load(obj: Any):
+            if not isinstance(obj, dict) or not obj.keys() >= need:
+                raise FormatError(missing)
+            try:
+                return build(obj)
+            except FormatError:  # from a nested loader, already worded
+                raise
+            except (LookupError, TypeError, ValueError) as exc:
+                raise FormatError(f"bad {bad}: {exc}") from exc
+        return load
+    return wrap
+
+
+def _check_merged(kept: int, *raw: list) -> None:
+    # A true next to a 1 merges into it as a set member (True == 1), so when
+    # the sets keep fewer than the ``raw`` lists hold, the lists are checked;
+    # a bool that survives as itself the constructor refuses.
+    if kept < sum(map(len, raw)):
+        check_ints(INDICES, *chain(*raw))
+
+
 def rectangle_to_obj(rect: Rectangle) -> dict[str, Any]:
     return {"color": rect.color, "rows": sorted(rect.rows), "cols": sorted(rect.cols)}
 
 
-def _rectangle_from_obj(obj: Any) -> Rectangle:
-    if not isinstance(obj, dict) or not obj.keys() >= {"color", "rows", "cols"}:
-        raise FormatError("rectangle objects need color, rows, cols")
-    try:
-        rows, cols = obj["rows"], obj["cols"]
-        rect = Rectangle(color=obj["color"], rows=frozenset(rows), cols=frozenset(cols))
-        # A true next to a 1 merges into it as a set member (True == 1), so
-        # ids lost to the sets are checked in the raw lists; a bool that
-        # survives as itself the constructor has already refused.
-        if len(rect.rows) + len(rect.cols) < len(rows) + len(cols):
-            check_ints(INDICES, *rows, *cols)
-        return rect
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad rectangle: {exc}") from exc
+@_loader("rectangle", "rectangle", "color", "rows", "cols")
+def _rectangle_from_obj(obj: dict) -> Rectangle:
+    rows, cols = obj["rows"], obj["cols"]
+    rect = Rectangle(color=obj["color"], rows=frozenset(rows), cols=frozenset(cols))
+    _check_merged(len(rect.rows) + len(rect.cols), rows, cols)
+    return rect
 
 
 def cover_to_obj(cover: RectangleCover) -> dict[str, Any]:
@@ -97,19 +127,13 @@ def cover_to_obj(cover: RectangleCover) -> dict[str, Any]:
     }
 
 
-def cover_from_obj(obj: Any) -> RectangleCover:
-    if not isinstance(obj, dict) or not {"n_rows", "n_cols", "rectangles"} <= set(obj):
-        raise FormatError("cover objects need n_rows, n_cols, rectangles")
-    try:
-        return RectangleCover(
-            n_rows=obj["n_rows"],
-            n_cols=obj["n_cols"],
-            rectangles=tuple(_rectangle_from_obj(r) for r in obj["rectangles"]),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, FormatError):
-            raise
-        raise FormatError(f"bad cover: {exc}") from exc
+@_loader("cover", "cover", "n_rows", "n_cols", "rectangles")
+def cover_from_obj(obj: dict) -> RectangleCover:
+    return RectangleCover(
+        n_rows=obj["n_rows"],
+        n_cols=obj["n_cols"],
+        rectangles=tuple(map(_rectangle_from_obj, obj["rectangles"])),
+    )
 
 
 def kpartite_to_obj(cover: KPartiteCover) -> dict[str, Any]:
@@ -123,24 +147,18 @@ def kpartite_to_obj(cover: KPartiteCover) -> dict[str, Any]:
     }
 
 
-def kpartite_from_obj(obj: Any) -> KPartiteCover:
-    if not isinstance(obj, dict) or not {"k", "n", "pairs"} <= set(obj):
-        raise FormatError("k-partite objects need k, n, pairs")
-    try:
-        pairs = []
-        for entry in obj["pairs"]:
-            parts = entry["parts"]
-            if not isinstance(parts, list) or len(parts) != 2:
-                raise FormatError(f"k-partite parts must be a pair of part ids, got {parts!r}")
-            pairs.append((*parts, tuple(_rectangle_from_obj(r) for r in entry["rectangles"])))
-        return KPartiteCover(k=obj["k"], n=obj["n"], pairs=tuple(pairs))
-    except (LookupError, TypeError, ValueError) as exc:
-        if isinstance(exc, FormatError):
-            raise
-        raise FormatError(f"bad k-partite cover: {exc}") from exc
+@_loader("k-partite", "k-partite cover", "k", "n", "pairs")
+def kpartite_from_obj(obj: dict) -> KPartiteCover:
+    pairs = []
+    for entry in obj["pairs"]:
+        parts = entry["parts"]
+        if not isinstance(parts, list) or len(parts) != 2:
+            raise FormatError(f"k-partite parts must be a pair of part ids, got {parts!r}")
+        pairs.append((*parts, tuple(map(_rectangle_from_obj, entry["rectangles"]))))
+    return KPartiteCover(k=obj["k"], n=obj["n"], pairs=tuple(pairs))
 
 
-def clique_family_to_obj(family: "CliqueFamily") -> dict[str, Any]:
+def clique_family_to_obj(family: CliqueFamily) -> dict[str, Any]:
     return {
         "n_vertices": family.n_vertices,
         "cliques": [
@@ -149,22 +167,15 @@ def clique_family_to_obj(family: "CliqueFamily") -> dict[str, Any]:
     }
 
 
-def clique_family_from_obj(obj: Any) -> "CliqueFamily":
-    from .detect import CliqueFamily
-
-    if not isinstance(obj, dict) or not {"n_vertices", "cliques"} <= set(obj):
-        raise FormatError("clique family objects need n_vertices, cliques")
-    try:
-        cliques = []
-        for entry in obj["cliques"]:
-            raw = entry["vertices"]
-            vertices = frozenset(raw)
-            if len(vertices) < len(raw):  # a true merged into a 1, as for rectangles
-                check_ints(INDICES, *raw)
-            cliques.append((entry["color"], vertices))
-        return CliqueFamily(n_vertices=obj["n_vertices"], cliques=tuple(cliques))
-    except (LookupError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad clique family: {exc}") from exc
+@_loader("clique family", "clique family", "n_vertices", "cliques")
+def clique_family_from_obj(obj: dict) -> CliqueFamily:
+    cliques = []
+    for entry in obj["cliques"]:
+        raw = entry["vertices"]
+        vertices = frozenset(raw)
+        _check_merged(len(vertices), raw)
+        cliques.append((entry["color"], vertices))
+    return CliqueFamily(n_vertices=obj["n_vertices"], cliques=tuple(cliques))
 
 
 def _plain(value: Any) -> Any:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from shufflecover import (
     ColorMatrix,
     GenerationFailed,
-    RecursiveMatrixParams,
     check_coverage,
     check_kpartite_coverage,
     construct_kpartite_avoiding,
@@ -29,11 +28,13 @@ GOLDEN_4X4 = (
 )
 
 
-def test_recursive_params_validate():
-    assert RecursiveMatrixParams(2).side == 4
-    assert RecursiveMatrixParams(5).side == 32
+def test_recursive_matrix_levels():
+    # level k is 2^k on a side, and the 4x4 base is the lowest level
+    for k in (2, 5):
+        matrix = construct_recursive_matrix(k)
+        assert matrix.n_rows == matrix.n_cols == 1 << k
     with pytest.raises(ValueError):
-        RecursiveMatrixParams(1)
+        construct_recursive_matrix(1)
 
 
 def test_level_two_is_the_golden_matrix():
