@@ -52,7 +52,11 @@ ENTRY_POINTS = [
     ("random_cover-max_min_side", lambda x: random_cover(2, 2, x, seed=0), 1),
     ("find_mono_biclique_fast-p", lambda x: find_mono_biclique_fast(COVER, x), 1),
     ("find_mono_biclique_brute-p", lambda x: find_mono_biclique_brute(COVER, x), 1),
-    ("find_mono_biclique_brute-max_n", lambda x: find_mono_biclique_brute([(0, 0, 0)], 1, max_n=x), 1),
+    (
+        "find_mono_biclique_brute-max_n",
+        lambda x: find_mono_biclique_brute([(0, 0, 0)], 1, max_n=x),
+        1,
+    ),
     ("find_mono_biclique_brute-max_p", lambda x: find_mono_biclique_brute(COVER, 1, max_p=x), 1),
     ("edge_triple-row", lambda x: find_mono_biclique_brute([(x, 0, 0)], 1), 0),
     ("edge_triple-col", lambda x: find_mono_biclique_brute([(0, x, 0)], 1), 0),
@@ -64,7 +68,11 @@ ENTRY_POINTS = [
     ),
     ("find_mono_kpartite-p", lambda x: find_mono_kpartite(KCOVER, x), 1),
     ("find_mono_kpartite_brute-p", lambda x: find_mono_kpartite_brute(KCOVER, x), 1),
-    ("find_mono_kpartite_brute-max_combos", lambda x: find_mono_kpartite_brute(KCOVER, 1, max_combos=x), 1),
+    (
+        "find_mono_kpartite_brute-max_combos",
+        lambda x: find_mono_kpartite_brute(KCOVER, 1, max_combos=x),
+        1,
+    ),
     (
         "verify_kpartite_witness-p",
         lambda x: verify_kpartite_witness(KCOVER, KPartiteWitness(color=0, parts=({0}, {0})), x),
@@ -77,7 +85,9 @@ ENTRY_POINTS = [
 
 
 @pytest.mark.parametrize("kind", ["bool", "float", "below"])
-@pytest.mark.parametrize("call, low", [e[1:] for e in ENTRY_POINTS], ids=[e[0] for e in ENTRY_POINTS])
+@pytest.mark.parametrize(
+    "call, low", [e[1:] for e in ENTRY_POINTS], ids=[e[0] for e in ENTRY_POINTS]
+)
 def test_entry_point_refuses_bool_float_and_below_range(call, low, kind):
     call(low)
     bad = {"bool": True, "float": 2.5, "below": low - 1}[kind]
