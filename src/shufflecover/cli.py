@@ -36,7 +36,6 @@ from .core import (
     local_profile,
     locality_violation,
     matrix_local_profile,
-    matrix_to_rectangles,
     validate_kpartite,
     validate_shuffle_preserved,
 )
@@ -188,8 +187,7 @@ def _emit_matrix_or_cover(matrix: ColorMatrix, args) -> int:
     if args.fmt == "matrix":
         _write_output(args.out, formats.write_matrix(matrix))
     else:
-        cover = matrix_to_rectangles(matrix)
-        _write_output(args.out, json.dumps(formats.cover_to_obj(cover)) + "\n")
+        _write_output(args.out, json.dumps(formats.cover_to_obj(matrix)) + "\n")
     return EX_OK
 
 
@@ -229,8 +227,6 @@ def _cmd_detect(args) -> int:
     elif args.mode == "brute":
         witness = find_mono_biclique_brute(instance, args.p)
     else:
-        if isinstance(instance, ColorMatrix):
-            instance = matrix_to_rectangles(instance)
         witness = find_mono_biclique_fast(instance, args.p)
     if witness is None:
         print("none")

@@ -14,7 +14,7 @@ integers and need not be contiguous.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -419,19 +419,41 @@ def validate_shuffle_preserved(matrix: ColorMatrix) -> ShuffleViolation | None:
     return _span_violation(matrix, *_color_spans(matrix))
 
 
+ColorClass = tuple[int, Collection[int], Collection[int]]
+
+
+def color_classes(instance: ColorMatrix | RectangleCover) -> list[ColorClass]:
+    """Each color class as ``(color, rows, cols)``, its rectangle's sides.
+
+    On a cover: one triple per rectangle, in cover order.  On a matrix: the
+    row and column span of each color, in ascending color order, read off
+    the matrix without building a :class:`Rectangle`; the matrix must be
+    shuffle-preserved, or :class:`NotShufflePreserved` is raised carrying
+    the violation :func:`validate_shuffle_preserved` returns.  The sides
+    are collections of distinct indices in no particular order.
+    """
+    if isinstance(instance, RectangleCover):
+        return [(rect.color, rect.rows, rect.cols) for rect in instance.rectangles]
+    n_distinct, spans = _color_spans(instance)
+    violation = _span_violation(instance, n_distinct, spans)
+    if violation is not None:
+        raise NotShufflePreserved(violation)
+    classes: list[ColorClass] = []
+    for color in sorted(spans):  # sorting the bare ids is cheaper than the items
+        groups, cols = spans[color]
+        classes.append((color, [*chain.from_iterable(groups)], cols))
+    return classes
+
+
 def matrix_to_rectangles(matrix: ColorMatrix) -> RectangleCover:
     """Convert a shuffle-preserved matrix to its rectangle cover.
 
     Raises :class:`NotShufflePreserved` (carrying the violation) otherwise.
     Rectangles come out sorted by color id.
     """
-    n_distinct, spans = _color_spans(matrix)
-    violation = _span_violation(matrix, n_distinct, spans)
-    if violation is not None:
-        raise NotShufflePreserved(violation)
     rects = tuple(
-        Rectangle(color=color, rows=frozenset(chain.from_iterable(groups)), cols=frozenset(cols))
-        for color, (groups, cols) in sorted(spans.items())
+        Rectangle(color=color, rows=frozenset(rows), cols=frozenset(cols))
+        for color, rows, cols in color_classes(matrix)
     )
     return RectangleCover(n_rows=matrix.n_rows, n_cols=matrix.n_cols, rectangles=rects)
 

@@ -30,6 +30,7 @@ from .core import (
     Witness,
     check_kpartite_coverage,
     check_ints,
+    color_classes,
     validate_kpartite,
 )
 
@@ -53,18 +54,24 @@ EdgeTriple = tuple[int, int, int]
 BruteInput = Union[ColorMatrix, RectangleCover, Iterable[EdgeTriple]]
 
 
-def find_mono_biclique_fast(cover: RectangleCover, p: int) -> Witness | None:
-    """First rectangle (in cover order) with both sides >= p, truncated to
-    its lowest p rows and columns.  Shuffle-preservation makes this scan
-    complete: every monochromatic biclique sits inside its color's rectangle.
+def find_mono_biclique_fast(instance: ColorMatrix | RectangleCover, p: int) -> Witness | None:
+    """First color class with both sides >= p, truncated to its lowest p
+    rows and columns.  Shuffle-preservation makes this scan complete: every
+    monochromatic biclique sits inside its color's rectangle.
+
+    Takes a cover, scanned in cover order, or a matrix, scanned in
+    ascending color order over the spans read off the matrix (the order of
+    its :func:`~shufflecover.core.matrix_to_rectangles` cover), so a matrix
+    gives the witness its cover gives.  A matrix that is not
+    shuffle-preserved raises :class:`NotShufflePreserved` before ``p`` is
+    checked.
     """
+    classes = color_classes(instance)
     check_ints(_P, p, low=1)
-    for rect in cover.rectangles:
-        if len(rect.rows) >= p and len(rect.cols) >= p:
+    for color, rows, cols in classes:
+        if len(rows) >= p and len(cols) >= p:
             return Witness(
-                color=rect.color,
-                rows=frozenset(sorted(rect.rows)[:p]),
-                cols=frozenset(sorted(rect.cols)[:p]),
+                color=color, rows=frozenset(sorted(rows)[:p]), cols=frozenset(sorted(cols)[:p])
             )
     return None
 
@@ -112,13 +119,19 @@ def find_mono_biclique_brute(
     """
     check_ints(_P, p, low=1)
     check_ints(_GUARD, max_n, max_p, low=1)
-    n_rows, n_cols, edges = _edge_triples(graph)
+    if isinstance(graph, (ColorMatrix, RectangleCover)):
+        # the sides are known up front, so no edge is listed for a refusal
+        n_rows, n_cols, edges = graph.n_rows, graph.n_cols, None
+    else:
+        n_rows, n_cols, edges = _edge_triples(graph)
     if n_rows == 0 or n_cols == 0 or p > min(n_rows, n_cols):
         return None
     if max(n_rows, n_cols) > max_n:
         raise InstanceTooLarge(f"sides up to {max(n_rows, n_cols)} exceed the guard ({max_n})")
     if p > max_p:
         raise InstanceTooLarge(f"p={p} exceeds the guard ({max_p})")
+    if edges is None:
+        edges = _edge_triples(graph)[2]
 
     masks: dict[int, dict[int, int]] = {}
     for u, v, color in edges:

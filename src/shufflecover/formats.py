@@ -21,6 +21,7 @@ from .core import (
     Rectangle,
     RectangleCover,
     check_ints,
+    color_classes,
 )
 
 
@@ -91,7 +92,7 @@ def _loader(what: str, bad: str, *keys: str):
                 raise FormatError(missing)
             try:
                 return build(obj)
-            except FormatError:  # from a nested loader, already worded
+            except FormatError:  # raised by the builder, already worded
                 raise
             except (LookupError, TypeError, ValueError) as exc:
                 raise FormatError(f"bad {bad}: {exc}") from exc
@@ -111,19 +112,46 @@ def rectangle_to_obj(rect: Rectangle) -> dict[str, Any]:
     return {"color": rect.color, "rows": sorted(rect.rows), "cols": sorted(rect.cols)}
 
 
-@_loader("rectangle", "rectangle", "color", "rows", "cols")
-def _rectangle_from_obj(obj: dict) -> Rectangle:
-    rows, cols = obj["rows"], obj["cols"]
-    rect = Rectangle(color=obj["color"], rows=frozenset(rows), cols=frozenset(cols))
-    _check_merged(len(rect.rows) + len(rect.cols), rows, cols)
-    return rect
+_RECTANGLE_KEYS = frozenset(("color", "rows", "cols"))
 
 
-def cover_to_obj(cover: RectangleCover) -> dict[str, Any]:
+def _rectangles_from_objs(objs: Any) -> list[Rectangle]:
+    """Build the rectangles of one JSON rectangle list, in order.
+
+    An entry that is not a dict holding color, rows and cols, or that the
+    rectangle checks refuse, raises a :class:`FormatError` naming the
+    rectangle.  Anything else, such as ``objs`` not being a list, is left
+    to the loader of the enclosing object.
+    """
+    rects = []
+    for obj in objs:
+        if not isinstance(obj, dict) or not obj.keys() >= _RECTANGLE_KEYS:
+            raise FormatError("rectangle objects need color, rows, cols")
+        rows, cols = obj["rows"], obj["cols"]
+        try:
+            rect = Rectangle(color=obj["color"], rows=frozenset(rows), cols=frozenset(cols))
+            _check_merged(len(rect.rows) + len(rect.cols), rows, cols)
+        except (LookupError, TypeError, ValueError) as exc:
+            raise FormatError(f"bad rectangle: {exc}") from exc
+        rects.append(rect)
+    return rects
+
+
+def cover_to_obj(instance: ColorMatrix | RectangleCover) -> dict[str, Any]:
+    """A cover as a JSON object: its sizes and one rectangle object per
+    color class, in :func:`~shufflecover.core.color_classes` order.
+
+    A shuffle-preserved matrix gives the object of its rectangle cover,
+    read off the matrix without building one; any other matrix raises
+    :class:`~shufflecover.core.NotShufflePreserved`.
+    """
     return {
-        "n_rows": cover.n_rows,
-        "n_cols": cover.n_cols,
-        "rectangles": [rectangle_to_obj(r) for r in cover.rectangles],
+        "n_rows": instance.n_rows,
+        "n_cols": instance.n_cols,
+        "rectangles": [
+            {"color": color, "rows": sorted(rows), "cols": sorted(cols)}
+            for color, rows, cols in color_classes(instance)
+        ],
     }
 
 
@@ -132,7 +160,7 @@ def cover_from_obj(obj: dict) -> RectangleCover:
     return RectangleCover(
         n_rows=obj["n_rows"],
         n_cols=obj["n_cols"],
-        rectangles=tuple(map(_rectangle_from_obj, obj["rectangles"])),
+        rectangles=_rectangles_from_objs(obj["rectangles"]),
     )
 
 
@@ -154,7 +182,7 @@ def kpartite_from_obj(obj: dict) -> KPartiteCover:
         parts = entry["parts"]
         if not isinstance(parts, list) or len(parts) != 2:
             raise FormatError(f"k-partite parts must be a pair of part ids, got {parts!r}")
-        pairs.append((*parts, tuple(map(_rectangle_from_obj, entry["rectangles"]))))
+        pairs.append((*parts, _rectangles_from_objs(entry["rectangles"])))
     return KPartiteCover(k=obj["k"], n=obj["n"], pairs=tuple(pairs))
 
 

@@ -1,5 +1,6 @@
 """CLI tests: subcommands, exit codes, formats, pipe composition."""
 
+import hashlib
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from shufflecover import cli, write_matrix, construct_recursive_matrix
+from shufflecover import cli, core, write_matrix, construct_recursive_matrix
 from shufflecover.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -123,6 +124,8 @@ def test_missing_file_is_data_error():
 RECT = {"color": 0, "rows": [0], "cols": [0]}
 # a true next to a 1 must not merge into it as a set member
 MERGED_ROWS = {"color": 0, "rows": [1, True, 0], "cols": [0, 1]}
+RECT_1 = {"color": 1, "rows": [1], "cols": [1]}
+EMPTY_ROWS = {"color": 3, "rows": [], "cols": [0]}
 BAD_INPUTS = [
     # (input object, argv, the message stderr must give)
     (
@@ -180,6 +183,44 @@ BAD_INPUTS = [
         ["superimposed", "--t", "1"],
         "bad clique family: indices must be non-negative integers, got True",
     ),
+    # rectangle lists: a list that is not one is the cover's fault, a bad
+    # entry is the rectangle's, and a bad rectangle is named before the
+    # sizes of the cover or k-partite cover that holds it are checked
+    (
+        {"n_rows": 2, "n_cols": 2, "rectangles": 5},
+        ["validate"],
+        "bad cover: 'int' object is not iterable",
+    ),
+    (
+        {"n_rows": 2, "n_cols": 2, "rectangles": [RECT, RECT_1, 7]},
+        ["detect", "--p", "1"],
+        "rectangle objects need color, rows, cols",
+    ),
+    (
+        {"n_rows": 2, "n_cols": 2, "rectangles": [RECT, RECT_1, {"color": 2, "rows": [1]}]},
+        ["validate"],
+        "rectangle objects need color, rows, cols",
+    ),
+    (
+        {"n_rows": 0, "n_cols": 2, "rectangles": [RECT, EMPTY_ROWS]},
+        ["validate"],
+        "bad rectangle: rectangle sides must be nonempty",
+    ),
+    (
+        {"k": 2, "n": 2, "pairs": [{"parts": [0, 1], "rectangles": 5}]},
+        ["validate"],
+        "bad k-partite cover: 'int' object is not iterable",
+    ),
+    (
+        {"k": 2, "n": 2, "pairs": [{"parts": [0, 1], "rectangles": [RECT, RECT_1, 7]}]},
+        ["detect", "--p", "1"],
+        "rectangle objects need color, rows, cols",
+    ),
+    (
+        {"k": 2, "n": 0, "pairs": [{"parts": [0, 1], "rectangles": [RECT, EMPTY_ROWS]}]},
+        ["validate"],
+        "bad rectangle: rectangle sides must be nonempty",
+    ),
 ]
 
 
@@ -231,6 +272,25 @@ def test_detect_rejects_invalid_matrix_in_fast_mode(monkeypatch, capsys):
     feed(monkeypatch, "2 2\n1 2\n2 1\n")
     assert run(["detect", "--p", "1"]) == 2
     assert json.loads(capsys.readouterr().out)["kind"] == "shuffle"
+
+
+def test_generate_json_and_detect_on_a_matrix_build_no_cover(monkeypatch, capsys):
+    # what these commands printed when each of them built the whole cover
+    json_sha256 = "93ccbaeb1e21791ff395e3604ebc53bafc48437eef4f684a972d9a0576c5b575"
+    witness = '{"kind": "witness", "color": 1, "rows": [0], "cols": [0]}\n'
+
+    def build_cover(self):
+        raise AssertionError("a RectangleCover was built")
+
+    monkeypatch.setattr(core.RectangleCover, "__post_init__", build_cover)
+    assert run(["generate", "--kind", "recursive", "--k", "5", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == json_sha256
+    text = write_matrix(construct_recursive_matrix(5))
+    for p, expected in (("2", "none\n"), ("1", witness)):
+        feed(monkeypatch, text)
+        assert run(["detect", "--p", p]) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_detect_kpartite_two_colors(monkeypatch, capsys):

@@ -25,6 +25,9 @@ from shufflecover import (
     avoidance_threshold,
     check_coverage,
     check_kpartite_coverage,
+    color_classes,
+    cover_to_obj,
+    find_mono_biclique_fast,
     guaranteed_p,
     local_profile,
     locality_violation,
@@ -145,6 +148,14 @@ def test_golden_matrix_rectangles_match_hand_derivation():
 
 def test_matrix_round_trip_is_identity():
     assert rectangles_to_matrix(matrix_to_rectangles(m2())) == m2()
+
+
+def test_color_classes_of_golden_matrix_and_its_cover():
+    classes = [(c, set(rows), set(cols)) for c, rows, cols in color_classes(m2())]
+    assert classes == [(c, *M2_RECTANGLES[c]) for c in sorted(M2_RECTANGLES)]
+    rects = [Rectangle(color=c, rows=r, cols=k) for c, (r, k) in M2_RECTANGLES.items()]
+    cover = RectangleCover(n_rows=4, n_cols=4, rectangles=rects[::-1])
+    assert color_classes(cover) == [(r.color, r.rows, r.cols) for r in cover.rectangles]
 
 
 def test_shuffle_violation_is_concrete():
@@ -439,3 +450,28 @@ def test_profile_and_codec_kernels_match_cell_by_cell_reference(matrix):
     lines += [" ".join(str(color) for color in row) for row in cells]
     assert text == "\n".join(lines) + "\n"
     assert parse_matrix(text) == matrix
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_matrix_paths_match_the_cover_paths(matrix):
+    """Reading color classes off a matrix gives what its cover gives: the
+    same fast-detector witness for every p and the same JSON object, or
+    the same violation from every path."""
+    ps = range(1, max(matrix.n_rows, matrix.n_cols) + 2)
+    violation = validate_shuffle_preserved(matrix)
+    if violation is not None:
+        calls = [matrix_to_rectangles, color_classes, cover_to_obj]
+        calls += [lambda matrix, p=p: find_mono_biclique_fast(matrix, p) for p in ps]
+        for call in calls:
+            with pytest.raises(NotShufflePreserved) as exc:
+                call(matrix)
+            assert exc.value.violation == violation
+        return
+    cover = matrix_to_rectangles(matrix)
+    assert [(c, frozenset(rows), frozenset(cols)) for c, rows, cols in color_classes(matrix)] == [
+        (r.color, r.rows, r.cols) for r in cover.rectangles
+    ]
+    assert cover_to_obj(matrix) == cover_to_obj(cover)
+    for p in ps:
+        assert find_mono_biclique_fast(matrix, p) == find_mono_biclique_fast(cover, p)

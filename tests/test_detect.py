@@ -10,6 +10,7 @@ from itertools import combinations
 
 import pytest
 
+from shufflecover import detect
 from shufflecover import (
     CliqueFamily,
     InstanceTooLarge,
@@ -101,6 +102,24 @@ def test_brute_guards_large_instances():
     with pytest.raises(InstanceTooLarge):
         find_mono_biclique_brute(deep, 7)
     assert find_mono_biclique_brute(deep, 7, max_p=8) is not None
+
+
+def test_brute_refuses_matrix_and_cover_before_listing_edges(monkeypatch):
+    matrix = construct_mod_m(256, 5)
+    cover = matrix_to_rectangles(matrix)
+
+    def listed(graph):
+        raise AssertionError("edges were listed before the guard refused")
+
+    monkeypatch.setattr(detect, "_edge_triples", listed)
+    for graph in (matrix, cover):
+        with pytest.raises(InstanceTooLarge) as exc:
+            find_mono_biclique_brute(graph, 2)
+        assert str(exc.value) == "sides up to 256 exceed the guard (24)"
+        with pytest.raises(InstanceTooLarge) as exc:
+            find_mono_biclique_brute(graph, 7, max_n=256)
+        assert str(exc.value) == "p=7 exceeds the guard (6)"
+        assert find_mono_biclique_brute(graph, 257) is None
 
 
 def test_verify_rejects_corrupted_witness():

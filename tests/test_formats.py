@@ -105,6 +105,50 @@ def test_cover_from_obj_rejects_malformed(obj):
         cover_from_obj(obj)
 
 
+RECT = {"color": 0, "rows": [0], "cols": [0]}
+RECT_1 = {"color": 1, "rows": [1], "cols": [1]}
+EMPTY_ROWS = {"color": 3, "rows": [], "cols": [0]}
+NEED_KEYS = "rectangle objects need color, rows, cols"
+EMPTY_SIDE = "bad rectangle: rectangle sides must be nonempty"
+
+BAD_INPUTS = [
+    # (loader, input object, the FormatError message): a rectangle list
+    # that is not a list is the enclosing object's fault, a bad entry is
+    # the rectangle's, and a bad rectangle is named before the sizes of the
+    # cover that holds it are checked
+    (cover_from_obj, {"n_rows": 2, "n_cols": 2, "rectangles": 5},
+     "bad cover: 'int' object is not iterable"),
+    (cover_from_obj, {"n_rows": 2, "n_cols": 2, "rectangles": [RECT, RECT_1, 7]}, NEED_KEYS),
+    (cover_from_obj, {"n_rows": 2, "n_cols": 2, "rectangles": [RECT, RECT_1, {"color": 2}]},
+     NEED_KEYS),
+    (cover_from_obj, {"n_rows": 0, "n_cols": 2, "rectangles": [RECT, EMPTY_ROWS]}, EMPTY_SIDE),
+    (cover_from_obj, {"n_rows": 2, "n_cols": 2, "rectangles": [RECT, RECT]},
+     "bad cover: duplicate color 0 in cover"),
+    (kpartite_from_obj, {"k": 2, "n": 2, "pairs": [{"parts": [0, 1], "rectangles": 5}]},
+     "bad k-partite cover: 'int' object is not iterable"),
+    (kpartite_from_obj,
+     {"k": 2, "n": 2, "pairs": [{"parts": [0, 1], "rectangles": [RECT, RECT_1, 7]}]},
+     NEED_KEYS),
+    (kpartite_from_obj,
+     {"k": 2, "n": 0, "pairs": [{"parts": [0, 1], "rectangles": [RECT, EMPTY_ROWS]}]},
+     EMPTY_SIDE),
+]
+
+
+@pytest.mark.parametrize(
+    "loader, obj, message",
+    BAD_INPUTS,
+    ids=[f"case{i}" for i in range(len(BAD_INPUTS))],
+)
+def test_rectangle_list_errors_keep_their_precedence(loader, obj, message):
+    with pytest.raises(FormatError) as exc:
+        loader(obj)
+    assert str(exc.value) == message
+    with pytest.raises(FormatError) as exc:
+        load_instance(json.dumps(obj))
+    assert str(exc.value) == message
+
+
 def sample_kpartite() -> KPartiteCover:
     full = Rectangle(color=0, rows=[0, 1], cols=[0, 1])
     return KPartiteCover(
