@@ -68,15 +68,11 @@ EX_GUARD = 70
 _DEFAULT_NODE_LIMIT = 10_000_000
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; remap to the documented 64."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 @functools.cache
@@ -154,40 +150,33 @@ def _node_limit() -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise _UsageError(f"RAMSEY_GUARD_NODES must be an integer, got {raw!r}") from exc
+        raise ValueError(f"RAMSEY_GUARD_NODES must be an integer, got {raw!r}") from exc
     if value < 1:
-        raise _UsageError("RAMSEY_GUARD_NODES must be positive")
+        raise ValueError("RAMSEY_GUARD_NODES must be positive")
     return value
 
 
 def _cmd_generate(args) -> int:
-    if args.fmt is None:
-        args.fmt = "json" if args.kind == "kpartite" else "matrix"
-    if args.kind == "modm":
-        if args.n is None or args.m is None:
-            raise _UsageError("--kind modm requires --n and --m")
-        matrix = construct_mod_m(args.n, args.m)
-        return _emit_matrix_or_cover(matrix, args)
-    if args.kind == "recursive":
-        if args.k is None:
-            raise _UsageError("--kind recursive requires --k")
-        matrix = construct_recursive_matrix(args.k)
-        return _emit_matrix_or_cover(matrix, args)
-    # kpartite
-    if args.n is None or args.m is None or args.k is None:
-        raise _UsageError("--kind kpartite requires --n, --m, and --k")
-    if args.fmt == "matrix":
-        raise _UsageError("k-partite covers have no matrix form; use --format json")
-    cover = construct_kpartite_avoiding(args.n, args.m, args.k)
-    _write_output(args.out, json.dumps(formats.kpartite_to_obj(cover)) + "\n")
-    return EX_OK
-
-
-def _emit_matrix_or_cover(matrix: ColorMatrix, args) -> int:
-    if args.fmt == "matrix":
-        _write_output(args.out, formats.write_matrix(matrix))
+    if args.kind == "kpartite":
+        if args.n is None or args.m is None or args.k is None:
+            raise ValueError("--kind kpartite requires --n, --m, and --k")
+        if args.fmt == "matrix":
+            raise ValueError("k-partite covers have no matrix form; use --format json")
+        obj = formats.kpartite_to_obj(construct_kpartite_avoiding(args.n, args.m, args.k))
     else:
-        _write_output(args.out, json.dumps(formats.cover_to_obj(matrix)) + "\n")
+        if args.kind == "modm":
+            if args.n is None or args.m is None:
+                raise ValueError("--kind modm requires --n and --m")
+            matrix = construct_mod_m(args.n, args.m)
+        else:
+            if args.k is None:
+                raise ValueError("--kind recursive requires --k")
+            matrix = construct_recursive_matrix(args.k)
+        if args.fmt != "json":
+            _write_output(args.out, formats.write_matrix(matrix))
+            return EX_OK
+        obj = formats.cover_to_obj(matrix)
+    _write_output(args.out, json.dumps(obj) + "\n")
     return EX_OK
 
 
@@ -206,7 +195,7 @@ def _cmd_validate(args) -> int:
         raise formats.FormatError("clique families are not colorings; nothing to validate")
     if violation is None and args.max_local is not None:
         if profile is None:
-            raise _UsageError("--max-local applies to bipartite matrices and covers only")
+            raise ValueError("--max-local applies to bipartite matrices and covers only")
         violation = locality_violation(profile, args.max_local)
     if violation is not None:
         _emit_json(formats.violation_to_obj(violation))
@@ -317,9 +306,6 @@ def run(argv: list[str]) -> int:
             "table": _cmd_table,
         }[args.command]
         return handler(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EX_USAGE
     except (formats.FormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EX_DATAERR

@@ -199,8 +199,6 @@ def _attempt_block(n: int, m: int, rng: random.Random) -> tuple[Rectangle, ...] 
     have leftovers.  Reaches the tight block-structured covers.
     """
     lo = max(1, n + 1 - m)
-    if lo > n:
-        return None
     # half the attempts pin every span to the minimum width; the balanced
     # column pick then lands the exact-budget instances (n*lo = about m*n)
     tight = rng.random() < 0.5

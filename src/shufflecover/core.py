@@ -475,10 +475,9 @@ def rectangles_to_matrix(cover: RectangleCover) -> ColorMatrix:
                         f"cell ({r}, {c}) lies in rectangles of colors {row[c]} and {rect.color}"
                     )
                 row[c] = rect.color
-    for r, row in enumerate(grid):
-        for c, value in enumerate(row):
-            if value is None:
-                raise ValueError(f"cell ({r}, {c}) is uncovered; no matrix form exists")
+    gap = check_coverage(cover)
+    if gap is not None:
+        raise ValueError(f"cell ({gap.row}, {gap.col}) is uncovered; no matrix form exists")
     return ColorMatrix(tuple(tuple(row) for row in grid))  # type: ignore[arg-type]
 
 
@@ -544,12 +543,10 @@ def matrix_local_profile(matrix: ColorMatrix) -> LocalProfile:
 def locality_violation(profile: LocalProfile, limit: int) -> LocalityViolation | None:
     """First vertex (rows before cols) exceeding ``limit`` colors, if any."""
     check_ints("limit must be a non-negative integer, got {!r}", limit)
-    for i, count in enumerate(profile.row_counts):
-        if count > limit:
-            return LocalityViolation(side="row", index=i, count=count, limit=limit)
-    for i, count in enumerate(profile.col_counts):
-        if count > limit:
-            return LocalityViolation(side="col", index=i, count=count, limit=limit)
+    for side, counts in (("row", profile.row_counts), ("col", profile.col_counts)):
+        for i, count in enumerate(counts):
+            if count > limit:
+                return LocalityViolation(side=side, index=i, count=count, limit=limit)
     return None
 
 

@@ -76,22 +76,24 @@ def find_mono_biclique_fast(instance: ColorMatrix | RectangleCover, p: int) -> W
     return None
 
 
-def _edge_triples(graph: BruteInput) -> tuple[int, int, int, list[EdgeTriple]]:
-    """Normalize any brute-force input to (n_rows, n_cols, edges)."""
+def _edge_triples(graph: BruteInput) -> tuple[int, int, Iterable[EdgeTriple]]:
+    """Normalize any brute-force input to (n_rows, n_cols, edges).  A matrix
+    or cover knows its sides, so its edges are a generator that lists
+    nothing until iterated; raw triples are listed to read their sides."""
     if isinstance(graph, ColorMatrix):
-        edges = [
+        edges: Iterable[EdgeTriple] = (
             (r, c, color)
             for r, row in enumerate(graph.cells)
             for c, color in enumerate(row)
-        ]
+        )
         return graph.n_rows, graph.n_cols, edges
     if isinstance(graph, RectangleCover):
-        edges = [
+        edges = (
             (r, c, rect.color)
             for rect in graph.rectangles
             for r in rect.rows
             for c in rect.cols
-        ]
+        )
         return graph.n_rows, graph.n_cols, edges
     edges = list(graph)
     n_rows = n_cols = 0
@@ -119,19 +121,13 @@ def find_mono_biclique_brute(
     """
     check_ints(_P, p, low=1)
     check_ints(_GUARD, max_n, max_p, low=1)
-    if isinstance(graph, (ColorMatrix, RectangleCover)):
-        # the sides are known up front, so no edge is listed for a refusal
-        n_rows, n_cols, edges = graph.n_rows, graph.n_cols, None
-    else:
-        n_rows, n_cols, edges = _edge_triples(graph)
+    n_rows, n_cols, edges = _edge_triples(graph)
     if n_rows == 0 or n_cols == 0 or p > min(n_rows, n_cols):
         return None
     if max(n_rows, n_cols) > max_n:
         raise InstanceTooLarge(f"sides up to {max(n_rows, n_cols)} exceed the guard ({max_n})")
     if p > max_p:
         raise InstanceTooLarge(f"p={p} exceeds the guard ({max_p})")
-    if edges is None:
-        edges = _edge_triples(graph)[2]
 
     masks: dict[int, dict[int, int]] = {}
     for u, v, color in edges:
@@ -173,6 +169,17 @@ def verify_biclique_witness(graph: BruteInput, witness: Witness, p: int) -> bool
 # k-partite detection
 
 
+def _kpartite_edges(cover: KPartiteCover) -> dict[tuple[int, int], set[tuple[int, int, int]]]:
+    """Each part pair's edges as (color, u, v), listed off the raw
+    rectangles with no shuffle assumption."""
+    edges: dict[tuple[int, int], set[tuple[int, int, int]]] = {}
+    for a, b, rects in cover.pairs:
+        cells = edges.setdefault((a, b), set())
+        for rect in rects:
+            cells.update((rect.color, u, v) for u in rect.rows for v in rect.cols)
+    return edges
+
+
 def find_mono_kpartite(cover: KPartiteCover, p: int) -> KPartiteWitness | None:
     """Monochromatic complete k-partite subgraph with p vertices per part,
     for complete shuffle-preserved colorings with any number of colors.
@@ -190,8 +197,6 @@ def find_mono_kpartite(cover: KPartiteCover, p: int) -> KPartiteWitness | None:
     violation = validate_kpartite(cover) or check_kpartite_coverage(cover)
     if violation is not None:
         raise NotShufflePreserved(violation)  # type: ignore[arg-type]
-    if p > cover.n:
-        return None
     for color in sorted(cover.colors()):
         touched = cover.touched_sets(color)
         if all(len(t) >= p for t in touched):
@@ -219,13 +224,7 @@ def find_mono_kpartite_brute(
         raise InstanceTooLarge(
             f"{per_part ** cover.k} vertex combinations exceed the guard ({max_combos})"
         )
-    edges: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for a, b, rects in cover.pairs:
-        for rect in rects:
-            per_color = edges.setdefault((a, b), set())
-            for u in rect.rows:
-                for v in rect.cols:
-                    per_color.add((rect.color, u * cover.n + v))
+    edges = _kpartite_edges(cover)
     colors = sorted(cover.colors())
 
     def compatible(color: int, chosen: list[tuple[int, ...]], part: int, pick: tuple[int, ...]) -> bool:
@@ -233,7 +232,7 @@ def find_mono_kpartite_brute(
             pair_edges = edges.get((a, part), set())
             for u in prior:
                 for v in pick:
-                    if (color, u * cover.n + v) not in pair_edges:
+                    if (color, u, v) not in pair_edges:
                         return False
         return True
 
@@ -262,18 +261,13 @@ def verify_kpartite_witness(cover: KPartiteCover, witness: KPartiteWitness, p: i
     check_ints(_P, p, low=1)
     if len(witness.parts) != cover.k or any(len(part) < p for part in witness.parts):
         return False
-    edges: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for a, b, rects in cover.pairs:
-        cells = edges.setdefault((a, b), set())
-        for rect in rects:
-            if rect.color == witness.color:
-                cells.update((u, v) for u in rect.rows for v in rect.cols)
+    edges = _kpartite_edges(cover)
     for a in range(cover.k):
         for b in range(a + 1, cover.k):
             cells = edges.get((a, b), set())
             for u in witness.parts[a]:
                 for v in witness.parts[b]:
-                    if (u, v) not in cells:
+                    if (witness.color, u, v) not in cells:
                         return False
     return True
 

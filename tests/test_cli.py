@@ -69,6 +69,42 @@ def test_unknown_flag_maps_to_64():
     assert run(["table", "--n-max", "2", "--workers", "2"]) == 64
 
 
+COMMANDS = ("generate", "validate", "detect", "bound", "search", "superimposed", "table")
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        ([], None, "the following arguments are required: command"),
+        (["generate", "--kind", "modm", "--n", "x"], None, "argument --n: invalid int value: 'x'"),
+        (["generate", "--kind", "modm", "--n", "4", "--m", "2", "--bogus"], None,
+         "unrecognized arguments: --bogus"),
+        (["generate", "--kind", "kpartite", "--n", "3", "--m", "2", "--k", "3", "--format", "matrix"],
+         None, "k-partite covers have no matrix form; use --format json"),
+        (["search", "--n", "2", "--m", "2", "--p", "2"], "zz",
+         "RAMSEY_GUARD_NODES must be an integer, got 'zz'"),
+    ],
+)
+def test_usage_errors_print_one_line(monkeypatch, capsys, argv, env, message):
+    if env is not None:
+        monkeypatch.setenv("RAMSEY_GUARD_NODES", env)
+    assert run(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
+def test_unknown_command_usage_error_lists_the_commands(capsys):
+    assert run(["nope"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # older argparse releases quote the choices, newer ones print them bare
+    assert captured.err in {
+        f"usage error: argument command: invalid choice: 'nope' (choose from {choices})\n"
+        for choices in (", ".join(map(repr, COMMANDS)), ", ".join(COMMANDS))
+    }
+
+
 def test_generate_to_file_and_validate_from_file(tmp_path, capsys):
     path = tmp_path / "golden.txt"
     assert run(["generate", "--kind", "recursive", "--k", "2", "--out", str(path)]) == 0
@@ -99,6 +135,18 @@ def test_validate_max_local(monkeypatch, capsys):
     feed(monkeypatch, GOLDEN_TEXT)
     assert run(["validate", "--max-local", "2"]) == 2
     assert json.loads(capsys.readouterr().out)["kind"] == "locality"
+
+
+def test_validate_max_local_reports_a_column(monkeypatch, capsys):
+    # the 6x6 mod-3 cover: rows see one color each, columns all three
+    run(["generate", "--kind", "modm", "--n", "6", "--m", "3", "--format", "json"])
+    feed(monkeypatch, capsys.readouterr().out)
+    assert run(["validate", "--max-local", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == (
+        '{"kind": "locality", "side": "col", "index": 0, "count": 3, "limit": 2}\n'
+    )
+    assert captured.err == ""
 
 
 def test_validate_kpartite_input(monkeypatch, capsys):

@@ -26,6 +26,7 @@ from shufflecover import (
     check_coverage,
     check_kpartite_coverage,
     color_classes,
+    construct_mod_m,
     cover_to_obj,
     find_mono_biclique_fast,
     guaranteed_p,
@@ -238,6 +239,14 @@ def test_locality_violation_rows_first():
     assert locality_violation(prof, 3) is None
     v = locality_violation(prof, 2)
     assert v == LocalityViolation(side="row", index=0, count=3, limit=2)
+
+
+def test_locality_violation_on_a_column():
+    # row stripes: every row sees one color, every column all three
+    prof = local_profile(matrix_to_rectangles(construct_mod_m(6, 3)))
+    assert locality_violation(prof, 3) is None
+    v = locality_violation(prof, 2)
+    assert v == LocalityViolation(side="col", index=0, count=3, limit=2)
 
 
 def test_triple_count_golden_equals_grid_size():

@@ -72,6 +72,13 @@ def test_brute_accepts_raw_triples():
     assert verify_biclique_witness(edges, w, 2)
 
 
+def test_brute_skips_a_subset_once_its_columns_fall_below_p():
+    # rows 0 and 1 share no column, so the pair (0, 1) is dropped early
+    edges = [(0, 0, 0), (0, 1, 0), (1, 2, 0), (1, 3, 0), (2, 0, 0), (2, 1, 0)]
+    assert find_mono_biclique_brute(edges, 2) == Witness(color=0, rows={0, 2}, cols={0, 1})
+    assert find_mono_biclique_brute(edges[:4], 2) is None
+
+
 def test_brute_needs_no_shuffle_structure():
     # diagonal-ish color 0 with no 2x2: matrix is not shuffle-preserved
     edges = [(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
@@ -108,10 +115,19 @@ def test_brute_refuses_matrix_and_cover_before_listing_edges(monkeypatch):
     matrix = construct_mod_m(256, 5)
     cover = matrix_to_rectangles(matrix)
 
-    def listed(graph):
-        raise AssertionError("edges were listed before the guard refused")
+    edge_triples = detect._edge_triples
 
-    monkeypatch.setattr(detect, "_edge_triples", listed)
+    def unlisted(graph):
+        # the real sides, with edges that fail the test once iterated
+        n_rows, n_cols, _ = edge_triples(graph)
+
+        def edges():
+            raise AssertionError("edges were listed before the guard refused")
+            yield
+
+        return n_rows, n_cols, edges()
+
+    monkeypatch.setattr(detect, "_edge_triples", unlisted)
     for graph in (matrix, cover):
         with pytest.raises(InstanceTooLarge) as exc:
             find_mono_biclique_brute(graph, 2)
