@@ -189,13 +189,13 @@ def _cmd_validate(args) -> int:
         violation = check_coverage(instance)
         profile = local_profile(instance)
     elif isinstance(instance, KPartiteCover):
+        # refused whatever the cover holds, so before it is validated
+        if args.max_local is not None:
+            raise ValueError("--max-local applies to bipartite matrices and covers only")
         violation = validate_kpartite(instance) or check_kpartite_coverage(instance)
-        profile = None
     else:
         raise formats.FormatError("clique families are not colorings; nothing to validate")
     if violation is None and args.max_local is not None:
-        if profile is None:
-            raise ValueError("--max-local applies to bipartite matrices and covers only")
         violation = locality_violation(profile, args.max_local)
     if violation is not None:
         _emit_json(formats.violation_to_obj(violation))

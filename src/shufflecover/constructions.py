@@ -91,13 +91,10 @@ def construct_kpartite_avoiding(n: int, m: int, k: int) -> KPartiteCover:
     full_rects = tuple(
         Rectangle(color=r, rows=all_of_part, cols=all_of_part) for r in range(m)
     )
-    pairs = []
-    for b in range(1, k):
-        pairs.append((0, b, mod_rects))
-    for a in range(1, k):
-        for b in range(a + 1, k):
-            pairs.append((a, b, full_rects))
-    return KPartiteCover(k=k, n=n, pairs=tuple(pairs))
+    pairs = tuple(
+        (a, b, full_rects if a else mod_rects) for a in range(k) for b in range(a + 1, k)
+    )
+    return KPartiteCover(k=k, n=n, pairs=pairs)
 
 
 def random_cover(n: int, m: int, max_min_side: int, seed: int) -> RectangleCover:
@@ -117,17 +114,12 @@ def random_cover(n: int, m: int, max_min_side: int, seed: int) -> RectangleCover
     """
     check_ints("n, m, max_min_side must be positive integers, got {!r}", n, m, max_min_side, low=1)
     rng = random.Random(seed)
+    # rotate three flavors: cell-greedy explores loose instances well, the
+    # block pattern reaches tight thin-1 instances, and row-group stripes
+    # cover the regime where thin sides of ceil(n/m) fit
+    flavors = (_attempt_cover, _attempt_block, _attempt_stripes)
     for attempt in range(200):
-        # rotate three flavors: cell-greedy explores loose instances well,
-        # the block pattern reaches tight thin-1 instances, and row-group
-        # stripes cover the regime where thin sides of ceil(n/m) fit
-        flavor = attempt % 3
-        if flavor == 0:
-            rects = _attempt_cover(n, m, max_min_side, rng)
-        elif flavor == 1:
-            rects = _attempt_block(n, m, rng)
-        else:
-            rects = _attempt_stripes(n, m, max_min_side, rng)
+        rects = flavors[attempt % 3](n, m, max_min_side, rng)
         if rects is not None:
             return RectangleCover(n_rows=n, n_cols=n, rectangles=rects)
     raise GenerationFailed(
@@ -138,61 +130,54 @@ def random_cover(n: int, m: int, max_min_side: int, seed: int) -> RectangleCover
 def _attempt_cover(
     n: int, m: int, max_min_side: int, rng: random.Random
 ) -> tuple[Rectangle, ...] | None:
-    row_used = [0] * n
-    col_used = [0] * n
-    uncovered = [[True] * n for _ in range(n)]
-    remaining = n * n
+    # axis 0 is the rows, axis 1 the columns: used[axis][line] counts the
+    # rectangles through a line, and uncovered[axis][line] holds the other
+    # axis's indices of its uncovered cells (both axes updated together)
+    used = ([0] * n, [0] * n)
+    uncovered = tuple([set(range(n)) for _ in range(n)] for _ in range(2))
     rects: list[Rectangle] = []
-    while remaining:
-        r0, c0 = next((r, c) for r in range(n) for c in range(n) if uncovered[r][c])
-        if row_used[r0] >= m or col_used[c0] >= m:
-            return None  # no new rectangle may contain this cell
-        if rng.random() < 0.5:
-            # thin side = rows
+    for r0 in range(n):
+        while uncovered[0][r0]:
+            c0 = min(uncovered[0][r0])  # (r0, c0) is the first uncovered cell
+            if used[0][r0] >= m or used[1][c0] >= m:
+                return None  # no new rectangle may contain this cell
+            # a random thin axis: up to max_min_side - 1 more lines that still
+            # have uncovered cells, then a random share of the fat lines
+            # that cross an uncovered cell of that slice
+            thin = 0 if rng.random() < 0.5 else 1
+            fat = 1 - thin
+            cell = (r0, c0)
+            sides = ([r0], [c0])
             extra_pool = [
-                r
-                for r in range(n)
-                if r != r0 and row_used[r] < m and any(uncovered[r])
+                t for t in range(n)
+                if t != cell[thin] and used[thin][t] < m and uncovered[thin][t]
             ]
             extra = rng.randint(0, max_min_side - 1)
-            rows = [r0] + rng.sample(extra_pool, min(extra, len(extra_pool)))
+            sides[thin].extend(rng.sample(extra_pool, min(extra, len(extra_pool))))
+            reach = set().union(*(uncovered[thin][t] for t in sides[thin]))
             fat_pool = [
-                c
-                for c in range(n)
-                if c != c0 and col_used[c] < m and any(uncovered[r][c] for r in rows)
+                f for f in range(n) if f != cell[fat] and used[fat][f] < m and f in reach
             ]
-            cols = [c0] + rng.sample(fat_pool, rng.randint(0, len(fat_pool)))
-        else:
-            # thin side = cols
-            extra_pool = [
-                c
-                for c in range(n)
-                if c != c0 and col_used[c] < m and any(uncovered[r][c] for r in range(n))
-            ]
-            extra = rng.randint(0, max_min_side - 1)
-            cols = [c0] + rng.sample(extra_pool, min(extra, len(extra_pool)))
-            fat_pool = [
-                r
-                for r in range(n)
-                if r != r0 and row_used[r] < m and any(uncovered[r][c] for c in cols)
-            ]
-            rows = [r0] + rng.sample(fat_pool, rng.randint(0, len(fat_pool)))
-        for r in rows:
-            row_used[r] += 1
-        for c in cols:
-            col_used[c] += 1
-        for r in rows:
-            for c in cols:
-                if uncovered[r][c]:
-                    uncovered[r][c] = False
-                    remaining -= 1
-        rects.append(Rectangle(color=len(rects), rows=frozenset(rows), cols=frozenset(cols)))
+            sides[fat].extend(rng.sample(fat_pool, rng.randint(0, len(fat_pool))))
+            for axis, side in enumerate(sides):
+                for line in side:
+                    used[axis][line] += 1
+            rows, cols = sides
+            for r in rows:
+                covered = uncovered[0][r].intersection(cols)
+                uncovered[0][r] -= covered
+                for c in covered:
+                    uncovered[1][c].discard(r)
+            rects.append(Rectangle(color=len(rects), rows=frozenset(rows), cols=frozenset(cols)))
     return tuple(rects)
 
 
-def _attempt_block(n: int, m: int, rng: random.Random) -> tuple[Rectangle, ...] | None:
+def _attempt_block(
+    n: int, m: int, max_min_side: int, rng: random.Random
+) -> tuple[Rectangle, ...] | None:
     """One row-rect per row over a balanced random span, then one col-rect
-    per column mopping up its leftovers.  All thin sides are 1.
+    per column mopping up its leftovers.  All thin sides are 1, so any
+    max_min_side fits.
 
     Row i ends up in 1 + (n - w_i) rectangles, so spans need
     w_i >= n + 1 - m; columns need membership count at most m - 1 when they
@@ -203,27 +188,23 @@ def _attempt_block(n: int, m: int, rng: random.Random) -> tuple[Rectangle, ...] 
     # column pick then lands the exact-budget instances (n*lo = about m*n)
     tight = rng.random() < 0.5
     col_count = [0] * n
-    spans: list[list[int]] = []
+    spans: list[set[int]] = []
     for _ in range(n):
         w = lo if tight else rng.randint(lo, n)
         cols = sorted(range(n), key=lambda c: (col_count[c], rng.random()))[:w]
-        spans.append(sorted(cols))
+        spans.append(set(cols))
         for c in cols:
             col_count[c] += 1
-    for j in range(n):
-        leftover = any(j not in spans[i] for i in range(n))
-        if col_count[j] + (1 if leftover else 0) > m:
-            return None
+    leftovers = [[i for i, span in enumerate(spans) if j not in span] for j in range(n)]
+    if any(col_count[j] + (1 if rows else 0) > m for j, rows in enumerate(leftovers)):
+        return None
     rects = [
         Rectangle(color=i, rows=frozenset([i]), cols=frozenset(span))
         for i, span in enumerate(spans)
     ]
-    for j in range(n):
-        leftover = [i for i in range(n) if j not in spans[i]]
-        if leftover:
-            rects.append(
-                Rectangle(color=len(rects), rows=frozenset(leftover), cols=frozenset([j]))
-            )
+    for j, rows in enumerate(leftovers):
+        if rows:
+            rects.append(Rectangle(color=len(rects), rows=frozenset(rows), cols=frozenset([j])))
     return tuple(rects)
 
 

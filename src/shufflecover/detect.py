@@ -217,9 +217,7 @@ def find_mono_kpartite_brute(
     """
     check_ints(_P, p, low=1)
     check_ints(_GUARD, max_combos, low=1)
-    if p > cover.n:
-        return None
-    per_part = math.comb(cover.n, p)
+    per_part = math.comb(cover.n, p)  # 0 when p > n: no subset, no witness
     if per_part**cover.k > max_combos:
         raise InstanceTooLarge(
             f"{per_part ** cover.k} vertex combinations exceed the guard ({max_combos})"

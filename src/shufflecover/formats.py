@@ -112,29 +112,12 @@ def rectangle_to_obj(rect: Rectangle) -> dict[str, Any]:
     return {"color": rect.color, "rows": sorted(rect.rows), "cols": sorted(rect.cols)}
 
 
-_RECTANGLE_KEYS = frozenset(("color", "rows", "cols"))
-
-
-def _rectangles_from_objs(objs: Any) -> list[Rectangle]:
-    """Build the rectangles of one JSON rectangle list, in order.
-
-    An entry that is not a dict holding color, rows and cols, or that the
-    rectangle checks refuse, raises a :class:`FormatError` naming the
-    rectangle.  Anything else, such as ``objs`` not being a list, is left
-    to the loader of the enclosing object.
-    """
-    rects = []
-    for obj in objs:
-        if not isinstance(obj, dict) or not obj.keys() >= _RECTANGLE_KEYS:
-            raise FormatError("rectangle objects need color, rows, cols")
-        rows, cols = obj["rows"], obj["cols"]
-        try:
-            rect = Rectangle(color=obj["color"], rows=frozenset(rows), cols=frozenset(cols))
-            _check_merged(len(rect.rows) + len(rect.cols), rows, cols)
-        except (LookupError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad rectangle: {exc}") from exc
-        rects.append(rect)
-    return rects
+@_loader("rectangle", "rectangle", "color", "rows", "cols")
+def _rectangle_from_obj(obj: dict) -> Rectangle:
+    rows, cols = obj["rows"], obj["cols"]
+    rect = Rectangle(color=obj["color"], rows=frozenset(rows), cols=frozenset(cols))
+    _check_merged(len(rect.rows) + len(rect.cols), rows, cols)
+    return rect
 
 
 def cover_to_obj(instance: ColorMatrix | RectangleCover) -> dict[str, Any]:
@@ -160,7 +143,7 @@ def cover_from_obj(obj: dict) -> RectangleCover:
     return RectangleCover(
         n_rows=obj["n_rows"],
         n_cols=obj["n_cols"],
-        rectangles=_rectangles_from_objs(obj["rectangles"]),
+        rectangles=list(map(_rectangle_from_obj, obj["rectangles"])),
     )
 
 
@@ -182,7 +165,7 @@ def kpartite_from_obj(obj: dict) -> KPartiteCover:
         parts = entry["parts"]
         if not isinstance(parts, list) or len(parts) != 2:
             raise FormatError(f"k-partite parts must be a pair of part ids, got {parts!r}")
-        pairs.append((*parts, _rectangles_from_objs(entry["rectangles"])))
+        pairs.append((*parts, list(map(_rectangle_from_obj, entry["rectangles"]))))
     return KPartiteCover(k=obj["k"], n=obj["n"], pairs=tuple(pairs))
 
 

@@ -160,6 +160,25 @@ def test_validate_kpartite_input(monkeypatch, capsys):
     assert run(["validate", "--max-local", "2"]) == 64
 
 
+def test_validate_max_local_on_kpartite_is_refused_before_validating(monkeypatch, capsys):
+    # the usage error does not depend on the data: dropping a rectangle of
+    # pair (0, 1) breaks the cover, and --max-local is still refused first
+    run(["generate", "--kind", "kpartite", "--n", "3", "--m", "2", "--k", "3"])
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["pairs"][0]["parts"] == [0, 1]
+    del obj["pairs"][0]["rectangles"][0]
+    feed(monkeypatch, json.dumps(obj))
+    assert run(["validate"]) == 2
+    assert json.loads(capsys.readouterr().out)["kind"] == "kpartite_shuffle"
+    feed(monkeypatch, json.dumps(obj))
+    assert run(["validate", "--max-local", "2"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "usage error: --max-local applies to bipartite matrices and covers only\n"
+    )
+
+
 def test_validate_empty_stdin_is_data_error(monkeypatch):
     feed(monkeypatch, "")
     assert run(["validate"]) == 65

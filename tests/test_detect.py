@@ -207,7 +207,11 @@ def test_kpartite_none_above_guarantee():
 
 
 def test_kpartite_p_beyond_part_size_is_none():
-    assert find_mono_kpartite(split_part_two_coloring(), 4) is None
+    cover = split_part_two_coloring()
+    assert find_mono_kpartite(cover, 4) is None
+    # no 4-subset of a part exists, so even the smallest guard lets it through
+    assert find_mono_kpartite_brute(cover, 4) is None
+    assert find_mono_kpartite_brute(cover, 4, max_combos=1) is None
 
 
 def test_kpartite_scan_on_twelve_parts():

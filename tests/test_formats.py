@@ -132,6 +132,13 @@ BAD_INPUTS = [
     (kpartite_from_obj,
      {"k": 2, "n": 0, "pairs": [{"parts": [0, 1], "rectangles": [RECT, EMPTY_ROWS]}]},
      EMPTY_SIDE),
+    # what the rectangle checks raise on bad index lists, word for word
+    (cover_from_obj, {"n_rows": 2, "n_cols": 2, "rectangles": [{**RECT, "rows": 5}]},
+     "bad rectangle: 'int' object is not iterable"),
+    (cover_from_obj, {"n_rows": 2, "n_cols": 2, "rectangles": [{**RECT, "rows": [True, 1]}]},
+     "bad rectangle: indices must be non-negative integers, got True"),
+    (cover_from_obj, {"n_rows": 2, "n_cols": 2, "rectangles": [{**RECT, "rows": [[0]]}]},
+     "bad rectangle: unhashable type: 'list'"),
 ]
 
 
