@@ -36,10 +36,12 @@ from .core import (
     local_profile,
     locality_violation,
     matrix_local_profile,
+    rectangles_to_matrix,
     validate_kpartite,
     validate_shuffle_preserved,
 )
 from .constructions import (
+    construct_block_circulant,
     construct_kpartite_avoiding,
     construct_mod_m,
     construct_recursive_matrix,
@@ -83,10 +85,13 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="emit one of the deterministic constructions")
-    gen.add_argument("--kind", required=True, choices=["modm", "recursive", "kpartite"])
+    gen.add_argument(
+        "--kind", required=True, choices=["modm", "recursive", "kpartite", "circulant"]
+    )
     gen.add_argument("--n", type=int)
     gen.add_argument("--m", type=int)
     gen.add_argument("--k", type=int)
+    gen.add_argument("--p", type=int)
     # matrix kinds default to matrix text; kpartite has no matrix form and
     # defaults to json
     gen.add_argument("--format", dest="fmt", choices=["matrix", "json"], default=None)
@@ -168,6 +173,11 @@ def _cmd_generate(args) -> int:
             if args.n is None or args.m is None:
                 raise ValueError("--kind modm requires --n and --m")
             matrix = construct_mod_m(args.n, args.m)
+        elif args.kind == "circulant":
+            if args.n is None or args.m is None or args.p is None:
+                raise ValueError("--kind circulant requires --n, --m, and --p")
+            # the block-circulant rectangles are disjoint and cover the grid
+            matrix = rectangles_to_matrix(construct_block_circulant(args.n, args.m, args.p))
         else:
             if args.k is None:
                 raise ValueError("--kind recursive requires --k")
@@ -182,12 +192,11 @@ def _cmd_generate(args) -> int:
 
 def _cmd_validate(args) -> int:
     instance = formats.load_instance(_read_input(args.path))
+    # the locality profile is computed only when --max-local asks for it
     if isinstance(instance, ColorMatrix):
-        violation = validate_shuffle_preserved(instance)
-        profile = matrix_local_profile(instance)
+        violation, profile = validate_shuffle_preserved(instance), matrix_local_profile
     elif isinstance(instance, RectangleCover):
-        violation = check_coverage(instance)
-        profile = local_profile(instance)
+        violation, profile = check_coverage(instance), local_profile
     elif isinstance(instance, KPartiteCover):
         # refused whatever the cover holds, so before it is validated
         if args.max_local is not None:
@@ -196,7 +205,7 @@ def _cmd_validate(args) -> int:
     else:
         raise formats.FormatError("clique families are not colorings; nothing to validate")
     if violation is None and args.max_local is not None:
-        violation = locality_violation(profile, args.max_local)
+        violation = locality_violation(profile(instance), args.max_local)
     if violation is not None:
         _emit_json(formats.violation_to_obj(violation))
         return EX_VIOLATION

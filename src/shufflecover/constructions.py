@@ -1,6 +1,6 @@
 """Extremal colorings that avoid monochromatic complete subgraphs.
 
-Three deterministic families plus a seeded random generator used as test
+Four deterministic families plus a seeded random generator used as test
 fodder:
 
 * :func:`construct_mod_m` colors row i with i mod m, packing every color
@@ -9,6 +9,9 @@ fodder:
 * :func:`construct_recursive_matrix` doubles a hand-built 4x4 base whose
   color classes are all 1x2 or 2x1.  Level k gives a 2^k-sided matrix that
   is 3*2^(k-2)-local with no monochromatic K_{2,2}.
+* :func:`construct_block_circulant` avoids K_{p,p} m-locally for every p
+  above :func:`~shufflecover.core.guaranteed_p`, so the guarantee theorem
+  is tight on the whole square table.
 * :func:`construct_kpartite_avoiding` extends the mod-m idea to k parts
   using parallel edges, reusing the same m colors globally.
 """
@@ -17,7 +20,15 @@ from __future__ import annotations
 
 import random
 
-from .core import N_AND_M, ColorMatrix, KPartiteCover, Rectangle, RectangleCover, check_ints
+from .core import (
+    N_AND_M,
+    ColorMatrix,
+    KPartiteCover,
+    Rectangle,
+    RectangleCover,
+    check_ints,
+    guaranteed_p,
+)
 
 # Hand-built 4x4 base: every color class is a 1x2 or 2x1 rectangle, every
 # row and column sees exactly 3 colors, and no color fills a 2x2.
@@ -67,6 +78,64 @@ def construct_recursive_matrix(k: int) -> ColorMatrix:
         )
         cells = top + bottom
     return ColorMatrix(cells)
+
+
+def construct_block_circulant(n: int, m: int, p: int) -> RectangleCover:
+    """An m-local coloring of the n x n grid with no monochromatic K_{p,p},
+    for every p > guaranteed_p(n, m); smaller p raise ``ValueError``.
+
+    Cut the rows, and likewise the columns, into N = ceil(n/(p-1)) groups
+    of consecutive lines, each of at most p-1 lines (t = p-1).
+
+    * If N <= m, take stripes: one rectangle per row group, over all
+      columns.  A row sees 1 color and a column sees N <= m.
+    * Otherwise take the N x N circulant X with k = N-m+1 ones per row,
+      X[i][j] = 1 exactly when (j - i) mod N < k.  Row group i gets one
+      rectangle over the column groups j with X[i][j] = 1, and column
+      group j one over the row groups i with X[i][j] = 0 (it has N-k =
+      m-1 >= 1 of them, since N > m forces m >= 2).  A row sees its own
+      group's rectangle and the m-1 column-group rectangles of its zeros:
+      m colors.  A column sees the k row-group rectangles of its ones and
+      its own group's: N-m+2 colors, which is at most m exactly when
+      N <= 2m-2.
+
+    N <= 2m-2 holds exactly when n <= 2(p-1)(m-1), which is p >
+    guaranteed_p(n, m); when guaranteed_p is capped at n, p > n gives N = 1
+    and stripes.  Each block G_i x G_j lies in exactly one rectangle, so the
+    rectangles are disjoint, cover the grid and have a matrix form.  Every
+    rectangle has one group as a side, so its thin side has at most p-1
+    lines; a color class is one rectangle, so no color holds K_{p,p}.
+
+    Colors: row groups 0..N-1, then column groups N..2N-1 (stripes use the
+    first N only).
+    """
+    check_ints("n, m, p must be positive integers, got {!r}", n, m, p, low=1)
+    bound = guaranteed_p(n, m)
+    if p <= bound:
+        raise ValueError(
+            f"p = {p} is at most guaranteed_p({n}, {m}) = {bound}: every {m}-local "
+            f"coloring of the {n}x{n} grid holds a monochromatic K_{{{p},{p}}}"
+        )
+    t = p - 1
+    groups = [frozenset(range(i, min(i + t, n))) for i in range(0, n, t)]
+    big_n = len(groups)
+
+    def run(first: int, count: int) -> frozenset[int]:
+        # the lines of groups first, first+1, ..., first+count-1, mod N
+        return frozenset().union(*(groups[g % big_n] for g in range(first, first + count)))
+
+    if big_n <= m:
+        rects = [Rectangle(color=i, rows=groups[i], cols=run(0, big_n)) for i in range(big_n)]
+    else:
+        # row i of X has its ones at columns i..i+k-1 and column j its
+        # zeros at rows j+1..j+m-1, mod N
+        k = big_n - m + 1
+        rects = [Rectangle(color=i, rows=groups[i], cols=run(i, k)) for i in range(big_n)]
+        rects += [
+            Rectangle(color=big_n + j, rows=run(j + 1, m - 1), cols=groups[j])
+            for j in range(big_n)
+        ]
+    return RectangleCover(n_rows=n, n_cols=n, rectangles=tuple(rects))
 
 
 def construct_kpartite_avoiding(n: int, m: int, k: int) -> KPartiteCover:

@@ -106,6 +106,16 @@ class Rectangle:
             raise ValueError("rectangle sides must be nonempty")
         check_ints(INDICES, *self.rows, *self.cols)
 
+    @classmethod
+    def _checked(cls, color: int, rows: frozenset[int], cols: frozenset[int]) -> Rectangle:
+        """A rectangle from values already checked as :meth:`__post_init__`
+        checks them, built without checking them again."""
+        rect = object.__new__(cls)
+        object.__setattr__(rect, "color", color)
+        object.__setattr__(rect, "rows", rows)
+        object.__setattr__(rect, "cols", cols)
+        return rect
+
     @property
     def min_side(self) -> int:
         return min(len(self.rows), len(self.cols))
@@ -139,6 +149,18 @@ class RectangleCover:
             seen.add(rect.color)
             if max(rect.rows) >= self.n_rows or max(rect.cols) >= self.n_cols:
                 raise ValueError(f"rectangle for color {rect.color} exceeds the grid")
+
+    @classmethod
+    def _checked(
+        cls, n_rows: int, n_cols: int, rectangles: tuple[Rectangle, ...]
+    ) -> RectangleCover:
+        """A cover from values already checked as :meth:`__post_init__`
+        checks them, built without checking them again."""
+        cover = object.__new__(cls)
+        object.__setattr__(cover, "n_rows", n_rows)
+        object.__setattr__(cover, "n_cols", n_cols)
+        object.__setattr__(cover, "rectangles", rectangles)
+        return cover
 
     def colors(self) -> set[int]:
         return {r.color for r in self.rectangles}

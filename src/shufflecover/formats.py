@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import json
 from itertools import chain
+from operator import itemgetter
 from typing import Any
 
 from .core import (
@@ -100,6 +102,24 @@ def _loader(what: str, bad: str, *keys: str):
     return wrap
 
 
+def _gc_paused(codec):
+    """Run ``codec`` with the cyclic garbage collector off, then restore the
+    caller's setting.  A codec call allocates tens of thousands of dicts,
+    lists, frozensets and rectangles, none of them in a cycle, so the
+    collector's passes over them during the call find nothing to free."""
+
+    @functools.wraps(codec)
+    def paused(*args):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return codec(*args)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
 def _check_merged(kept: int, *raw: list) -> None:
     # A true next to a 1 merges into it as a set member (True == 1), so when
     # the sets keep fewer than the ``raw`` lists hold, the lists are checked;
@@ -120,6 +140,45 @@ def _rectangle_from_obj(obj: dict) -> Rectangle:
     return rect
 
 
+_FIELDS = itemgetter("color", "rows", "cols")
+
+
+def _checked_rectangles(
+    objs: Any, n_rows: Any, n_cols: Any, distinct: bool
+) -> tuple[Rectangle, ...] | None:
+    """The rectangles of a JSON rectangle list, checked as whole lists at C
+    speed, or None when any check fails (or the list is empty), for the
+    caller to load rectangle by rectangle and word the error.
+
+    Every entry must be a dict holding color, rows and cols; every side a
+    nonempty list; every color and index an exact int (a bool or float is
+    refused) of at least 0, the colors distinct if ``distinct``; and
+    ``n_rows`` and ``n_cols`` exact ints above every row and column index
+    (so at least 1).  That is all the rectangle and cover constructors
+    check, so a list that passes is built without them.
+    """
+    if type(objs) is not list or not objs or {*map(type, objs)} != {dict}:
+        return None
+    if {type(n_rows), type(n_cols)} != {int}:
+        return None
+    try:
+        colors, rows, cols = zip(*map(_FIELDS, objs))
+    except KeyError:
+        return None
+    if {*map(type, colors)} != {int} or min(colors) < 0:
+        return None
+    if distinct and len({*colors}) < len(colors):
+        return None
+    for sides, bound in ((rows, n_rows), (cols, n_cols)):
+        if {*map(type, sides)} != {list} or not all(sides):
+            return None
+        flat = [*chain.from_iterable(sides)]
+        if {*map(type, flat)} != {int} or min(flat) < 0 or max(flat) >= bound:
+            return None
+    return tuple(map(Rectangle._checked, colors, map(frozenset, rows), map(frozenset, cols)))
+
+
+@_gc_paused
 def cover_to_obj(instance: ColorMatrix | RectangleCover) -> dict[str, Any]:
     """A cover as a JSON object: its sizes and one rectangle object per
     color class, in :func:`~shufflecover.core.color_classes` order.
@@ -140,10 +199,12 @@ def cover_to_obj(instance: ColorMatrix | RectangleCover) -> dict[str, Any]:
 
 @_loader("cover", "cover", "n_rows", "n_cols", "rectangles")
 def cover_from_obj(obj: dict) -> RectangleCover:
+    n_rows, n_cols, objs = obj["n_rows"], obj["n_cols"], obj["rectangles"]
+    rects = _checked_rectangles(objs, n_rows, n_cols, distinct=True)
+    if rects is not None:
+        return RectangleCover._checked(n_rows, n_cols, rects)
     return RectangleCover(
-        n_rows=obj["n_rows"],
-        n_cols=obj["n_cols"],
-        rectangles=list(map(_rectangle_from_obj, obj["rectangles"])),
+        n_rows=n_rows, n_cols=n_cols, rectangles=list(map(_rectangle_from_obj, objs))
     )
 
 
@@ -160,13 +221,17 @@ def kpartite_to_obj(cover: KPartiteCover) -> dict[str, Any]:
 
 @_loader("k-partite", "k-partite cover", "k", "n", "pairs")
 def kpartite_from_obj(obj: dict) -> KPartiteCover:
-    pairs = []
+    n, pairs = obj["n"], []
     for entry in obj["pairs"]:
         parts = entry["parts"]
         if not isinstance(parts, list) or len(parts) != 2:
             raise FormatError(f"k-partite parts must be a pair of part ids, got {parts!r}")
-        pairs.append((*parts, list(map(_rectangle_from_obj, entry["rectangles"]))))
-    return KPartiteCover(k=obj["k"], n=obj["n"], pairs=tuple(pairs))
+        objs = entry["rectangles"]
+        rects = _checked_rectangles(objs, n, n, distinct=False)
+        if rects is None:
+            rects = list(map(_rectangle_from_obj, objs))
+        pairs.append((*parts, rects))
+    return KPartiteCover(k=obj["k"], n=n, pairs=tuple(pairs))
 
 
 def clique_family_to_obj(family: CliqueFamily) -> dict[str, Any]:
@@ -211,6 +276,7 @@ violation_to_obj = witness_to_obj = _tagged_to_obj
 # sniffing loader
 
 
+@_gc_paused
 def load_instance(text: str):
     """Parse matrix text or any of the JSON formats, deciding by content.
 

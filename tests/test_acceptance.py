@@ -1,4 +1,4 @@
-"""Acceptance suite: ten criteria, one printed PASS/FAIL line each.
+"""Acceptance suite: eleven criteria, one printed PASS/FAIL line each.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they
 complete.  Each criterion asserts its own wall-clock budget, so a pass
@@ -23,6 +23,7 @@ from shufflecover import (
     avoidance_threshold,
     check_coverage,
     check_kpartite_coverage,
+    construct_block_circulant,
     construct_kpartite_avoiding,
     construct_mod_m,
     construct_recursive_matrix,
@@ -46,6 +47,7 @@ from shufflecover import (
     verify_kpartite_witness,
 )
 from shufflecover.cli import run
+from shufflecover.search import _Searcher
 from test_search import assert_certificate
 
 
@@ -369,3 +371,28 @@ def test_criterion_10_n7_table_decided():
         if row.verdict == SAT:
             out = search_avoiding(SearchParams(row.n, row.m, row.p, timeout=20))
             assert_certificate(out, row.n, row.m, row.p)
+
+
+@criterion(
+    11, "every cell to n = 40: the root counting bound or a block-circulant certificate", 120.0
+)
+def test_criterion_11_square_table_in_closed_form():
+    certified = 0
+    for n in range(2, 41):
+        for m in range(2, n + 1):
+            for p in range(1, n + 1):
+                searcher = _Searcher(n, m, p, None, None)
+                fires = not searcher.within_bound(n * n, searcher.load(0, [0] * (2 * n)))
+                try:
+                    cover = construct_block_circulant(n, m, p)
+                except ValueError:
+                    assert fires, (n, m, p)
+                    continue
+                assert not fires, (n, m, p)
+                assert check_coverage(cover) is None
+                assert local_profile(cover).local_width <= m
+                assert all(rect.min_side <= p - 1 for rect in cover.rectangles)
+                assert find_mono_biclique_fast(cover, p) is None
+                certified += 1
+    # every cell above guaranteed_p, and no other
+    assert certified == 19472

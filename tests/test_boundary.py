@@ -10,6 +10,7 @@ from shufflecover import (
     KPartiteWitness,
     Witness,
     avoidance_threshold,
+    construct_block_circulant,
     construct_kpartite_avoiding,
     construct_mod_m,
     construct_recursive_matrix,
@@ -44,6 +45,8 @@ ENTRY_POINTS = [
     ("construct_mod_m-n", lambda x: construct_mod_m(x, 2), 1),
     ("construct_mod_m-m", lambda x: construct_mod_m(4, x), 1),
     ("construct_recursive_matrix-k", construct_recursive_matrix, 2),
+    ("construct_block_circulant-n", lambda x: construct_block_circulant(x, 2, 3), 1),
+    ("construct_block_circulant-m", lambda x: construct_block_circulant(4, x, 5), 1),
     ("construct_kpartite_avoiding-n", lambda x: construct_kpartite_avoiding(x, 2, 3), 1),
     ("construct_kpartite_avoiding-m", lambda x: construct_kpartite_avoiding(3, x, 3), 1),
     ("construct_kpartite_avoiding-k", lambda x: construct_kpartite_avoiding(3, 2, x), 2),

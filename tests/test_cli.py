@@ -83,6 +83,11 @@ COMMANDS = ("generate", "validate", "detect", "bound", "search", "superimposed",
          None, "k-partite covers have no matrix form; use --format json"),
         (["search", "--n", "2", "--m", "2", "--p", "2"], "zz",
          "RAMSEY_GUARD_NODES must be an integer, got 'zz'"),
+        (["generate", "--kind", "circulant", "--n", "9", "--m", "3"], None,
+         "--kind circulant requires --n, --m, and --p"),
+        (["generate", "--kind", "circulant", "--n", "9", "--m", "3", "--p", "3"], None,
+         "p = 3 is at most guaranteed_p(9, 3) = 3: every 3-local coloring of the 9x9 grid"
+         " holds a monochromatic K_{3,3}"),
     ],
 )
 def test_usage_errors_print_one_line(monkeypatch, capsys, argv, env, message):
@@ -147,6 +152,35 @@ def test_validate_max_local_reports_a_column(monkeypatch, capsys):
         '{"kind": "locality", "side": "col", "index": 0, "count": 3, "limit": 2}\n'
     )
     assert captured.err == ""
+
+
+def test_validate_computes_the_profile_only_for_max_local(monkeypatch, capsys):
+    matrix_text = write_matrix(construct_recursive_matrix(3))
+    run(["generate", "--kind", "modm", "--n", "6", "--m", "3", "--format", "json"])
+    cover_text = capsys.readouterr().out
+
+    def profile(instance):
+        raise AssertionError("the locality profile was computed without --max-local")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "matrix_local_profile", profile)
+        patch.setattr(cli, "local_profile", profile)
+        for text in (matrix_text, cover_text):
+            feed(patch, text)
+            assert run(["validate"]) == 0
+            assert capsys.readouterr().out == "ok\n"
+    # with a limit the profile is computed, and the output is as before
+    for text, limit, code, out in (
+        (matrix_text, "6", 0, "ok\n"),
+        (matrix_text, "5", 2,
+         '{"kind": "locality", "side": "row", "index": 0, "count": 6, "limit": 5}\n'),
+        (cover_text, "3", 0, "ok\n"),
+        (cover_text, "2", 2,
+         '{"kind": "locality", "side": "col", "index": 0, "count": 3, "limit": 2}\n'),
+    ):
+        feed(monkeypatch, text)
+        assert run(["validate", "--max-local", limit]) == code
+        assert capsys.readouterr() == (out, "")
 
 
 def test_validate_kpartite_input(monkeypatch, capsys):
@@ -358,6 +392,23 @@ def test_generate_json_and_detect_on_a_matrix_build_no_cover(monkeypatch, capsys
         feed(monkeypatch, text)
         assert run(["detect", "--p", p]) == 0
         assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("n, m, p", [(8, 5, 2), (9, 6, 2), (12, 4, 3), (10, 4, 4), (6, 2, 4)])
+def test_generate_circulant_pipes_into_validate_and_detect(monkeypatch, capsys, n, m, p):
+    # a certificate that the cell (n, m, p) is SAT, in either format
+    for fmt in ("matrix", "json"):
+        argv = ["generate", "--kind", "circulant", "--n", str(n), "--m", str(m), "--p", str(p)]
+        assert run([*argv, "--format", fmt]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"{n} {n}\n" if fmt == "matrix" else "{")
+        feed(monkeypatch, text)
+        assert run(["validate", "--max-local", str(m)]) == 0
+        assert capsys.readouterr() == ("ok\n", "")
+        for mode in ("fast", "brute"):
+            feed(monkeypatch, text)
+            assert run(["detect", "--p", str(p), "--mode", mode]) == 0
+            assert capsys.readouterr() == ("none\n", "")
 
 
 def test_detect_kpartite_two_colors(monkeypatch, capsys):

@@ -11,13 +11,18 @@ from shufflecover import (
     GenerationFailed,
     check_coverage,
     check_kpartite_coverage,
+    construct_block_circulant,
     construct_kpartite_avoiding,
     construct_mod_m,
     construct_recursive_matrix,
+    find_mono_biclique_brute,
+    find_mono_biclique_fast,
+    guaranteed_p,
     local_profile,
     matrix_local_profile,
     matrix_to_rectangles,
     random_cover,
+    rectangles_to_matrix,
     validate_kpartite,
     validate_shuffle_preserved,
 )
@@ -219,6 +224,48 @@ def test_random_cover_invariants_when_feasible(n, m, mms, seed):
     assert check_coverage(cover) is None
     assert local_profile(cover).local_width <= m
     assert all(r.min_side <= mms for r in cover.rectangles)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_block_circulant_avoids_kpp_m_locally(data):
+    n = data.draw(st.integers(1, 30), label="n")
+    m = data.draw(st.integers(1, n + 1), label="m")
+    p = data.draw(st.integers(guaranteed_p(n, m) + 1, n + 1), label="p")
+    cover = construct_block_circulant(n, m, p)
+    assert cover.n_rows == cover.n_cols == n
+    assert check_coverage(cover) is None
+    assert local_profile(cover).local_width <= m
+    assert all(rect.min_side <= p - 1 for rect in cover.rectangles)
+    assert find_mono_biclique_fast(cover, p) is None
+    if n <= 24 and p <= 6:  # within the brute detector's default guards
+        assert find_mono_biclique_brute(cover, p) is None
+    # the rectangles are disjoint: the cover is a matrix's, colored in order
+    assert matrix_to_rectangles(rectangles_to_matrix(cover)) == cover
+
+
+@pytest.mark.parametrize(
+    "n, m, p, count",
+    [(6, 3, 3, 3), (6, 2, 4, 2), (7, 3, 3, 8), (8, 5, 2, 16), (9, 6, 2, 18), (3, 1, 4, 1)],
+)
+def test_block_circulant_stripes_then_circulant(n, m, p, count):
+    # N = ceil(n/(p-1)) groups: N <= m gives N stripes, else 2N rectangles
+    cover = construct_block_circulant(n, m, p)
+    assert len(cover.rectangles) == count
+    assert [r.color for r in cover.rectangles] == list(range(count))
+
+
+def test_block_circulant_refuses_guaranteed_cells():
+    for n, m in ((9, 3), (8, 5), (1, 1), (5, 1), (40, 2)):
+        bound = guaranteed_p(n, m)
+        for p in range(1, bound + 1):
+            with pytest.raises(ValueError, match=rf"^p = {p} is at most guaranteed_p"):
+                construct_block_circulant(n, m, p)
+        construct_block_circulant(n, m, bound + 1)
+    for p in (0, True, 2.5):
+        with pytest.raises(ValueError) as exc:
+            construct_block_circulant(4, 2, p)
+        assert str(exc.value).endswith(f", got {p!r}")
 
 
 def test_golden_matrix_agrees_with_module_constant():

@@ -1,19 +1,25 @@
 """Codec tests: text matrices, JSON covers, sniffing loader."""
 
+import gc
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shufflecover import (
     CliqueFamily,
     ColorMatrix,
     CoverageViolation,
     FormatError,
+    GenerationFailed,
     KPartiteCover,
     KPartiteCoverageViolation,
     KPartiteShuffleViolation,
     KPartiteWitness,
     LocalityViolation,
+    NotShufflePreserved,
     Rectangle,
     RectangleCover,
     ShuffleViolation,
@@ -21,16 +27,22 @@ from shufflecover import (
     Witness,
     clique_family_from_obj,
     clique_family_to_obj,
+    construct_kpartite_avoiding,
+    construct_mod_m,
+    construct_recursive_matrix,
     cover_from_obj,
     cover_to_obj,
     kpartite_from_obj,
     kpartite_to_obj,
     load_instance,
+    matrix_to_rectangles,
     parse_matrix,
+    random_cover,
     violation_to_obj,
     witness_to_obj,
     write_matrix,
 )
+from shufflecover import formats
 
 MATRIX = ColorMatrix(((1, 5, 2, 2), (1, 4, 3, 4), (8, 5, 8, 7), (6, 6, 3, 7)))
 
@@ -274,3 +286,197 @@ def test_load_instance_sniffs_clique_family():
 def test_load_instance_rejects_unknown(text):
     with pytest.raises(FormatError):
         load_instance(text)
+
+
+# ---------------------------------------------------------------------------
+# the bulk rectangle-list check against the per-rectangle path
+
+
+def outcome(text: str):
+    """What ``load_instance`` gives: the object, or the FormatError message."""
+    try:
+        return load_instance(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+def assert_same_as_per_rectangle(obj) -> None:
+    """``obj`` loads as it does when every rectangle list is loaded
+    rectangle by rectangle: the same object, down to the types its repr
+    shows (frozenset sides, int ids), or the same error message."""
+    text = json.dumps(obj)
+    got = outcome(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_checked_rectangles", lambda *args, **kwargs: None)
+        want = outcome(text)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+VALID_OBJECTS = [
+    *(cover_to_obj(construct_recursive_matrix(k)) for k in range(2, 6)),
+    *(cover_to_obj(construct_mod_m(n, m)) for n, m in ((1, 1), (5, 2), (9, 3), (16, 5))),
+    *(kpartite_to_obj(construct_kpartite_avoiding(*nmk)) for nmk in ((1, 1, 2), (4, 3, 5))),
+    # sides in any order, with a repeated index, and extra keys
+    {"n_rows": 2, "n_cols": 3, "extra": 1, "rectangles": [
+        {"color": 4, "rows": [1, 0, 1], "cols": [2, 0, 1], "note": "x"},
+    ]},
+]
+
+
+@pytest.mark.parametrize("obj", VALID_OBJECTS)
+def test_bulk_load_matches_per_rectangle_on_valid_input(obj):
+    assert_same_as_per_rectangle(obj)
+    assert not isinstance(outcome(json.dumps(obj)), str)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 9), m=st.integers(1, 6), mms=st.integers(1, 3), seed=st.integers(0, 999))
+def test_bulk_load_matches_per_rectangle_on_random_covers(n, m, mms, seed):
+    try:
+        cover = random_cover(n, m, mms, seed)
+    except GenerationFailed:
+        return
+    obj = cover_to_obj(cover)
+    assert load_instance(json.dumps(obj)) == cover
+    assert_same_as_per_rectangle(obj)
+
+
+def set_index(side: str, value):
+    def mutate(rect, rng):
+        rect[side][rng.randrange(len(rect[side]))] = value
+    return mutate
+
+
+def set_field(key: str, value):
+    def mutate(rect, rng):
+        rect[key] = value
+    return mutate
+
+
+def drop_field(key: str):
+    def mutate(rect, rng):
+        del rect[key]
+    return mutate
+
+
+# one mutation of each kind, applied to one rectangle
+MUTATIONS = {
+    "bool row": set_index("rows", True),
+    "bool col": set_index("cols", False),
+    "float row": set_index("rows", 1.0),
+    "float col": set_index("cols", 0.0),
+    "negative row": set_index("rows", -1),
+    "negative col": set_index("cols", -2),
+    "row out of range": set_index("rows", 10**6),
+    "col out of range": set_index("cols", 10**6),
+    "empty rows": set_field("rows", []),
+    "empty cols": set_field("cols", []),
+    "rows not a list": set_field("rows", 5),
+    "cols a string": set_field("cols", "0"),
+    "cols an object": set_field("cols", {"0": 0}),
+    "nested list": set_index("rows", [0]),
+    "bool color": set_field("color", True),
+    "float color": set_field("color", 1.0),
+    "negative color": set_field("color", -1),
+    "missing color": drop_field("color"),
+    "missing rows": drop_field("rows"),
+    "missing cols": drop_field("cols"),
+}
+
+
+def mutated(obj, rects, name: str, rng):
+    """``obj`` with ``rects`` (a rectangle list inside it) changed at one
+    random place by the mutation ``name``."""
+    i = rng.randrange(len(rects))
+    if name == "not a dict":
+        rects[i] = [rects[i]["color"]]
+    elif name == "duplicate color":
+        rects[i]["color"] = rects[rng.randrange(len(rects))]["color"]
+    else:
+        MUTATIONS[name](rects[i], rng)
+    return obj
+
+
+SOURCES = [
+    lambda: cover_to_obj(construct_recursive_matrix(4)),
+    lambda: cover_to_obj(construct_mod_m(7, 3)),
+    lambda: cover_to_obj(random_cover(8, 4, 2, seed=3)),
+    lambda: kpartite_to_obj(construct_kpartite_avoiding(4, 3, 4)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    source=st.sampled_from(range(len(SOURCES))),
+    name=st.sampled_from([*MUTATIONS, "not a dict", "duplicate color"]),
+    seed=st.integers(0, 10**6),
+)
+def test_bulk_load_words_errors_as_per_rectangle(source, name, seed):
+    rng = random.Random(seed)
+    obj = SOURCES[source]()
+    if "pairs" in obj:
+        rects = obj["pairs"][rng.randrange(len(obj["pairs"]))]["rectangles"]
+    else:
+        rects = obj["rectangles"]
+    assert_same_as_per_rectangle(mutated(obj, rects, name, rng))
+
+
+@pytest.mark.parametrize("key", ["n_rows", "n_cols"])
+@pytest.mark.parametrize("value", [True, 0, -1, 2.0, "2", None])
+def test_bulk_load_words_size_errors_as_per_rectangle(key, value):
+    obj = cover_to_obj(construct_mod_m(3, 2))
+    obj[key] = value
+    assert_same_as_per_rectangle(obj)
+    assert isinstance(outcome(json.dumps(obj)), str)
+
+
+@pytest.mark.parametrize("value", [True, 0, 1.0, 1])
+def test_bulk_load_kpartite_part_size_as_per_rectangle(value):
+    obj = kpartite_to_obj(construct_kpartite_avoiding(3, 2, 3))
+    obj["n"] = value
+    assert_same_as_per_rectangle(obj)
+
+
+def test_valid_input_never_loads_rectangle_by_rectangle(monkeypatch):
+    matrix = construct_recursive_matrix(5)
+    kcover = construct_kpartite_avoiding(5, 3, 4)
+    texts = json.dumps(cover_to_obj(matrix)), json.dumps(kpartite_to_obj(kcover))
+
+    def one_rectangle(obj):
+        raise AssertionError("a valid rectangle list was loaded rectangle by rectangle")
+
+    monkeypatch.setattr(formats, "_rectangle_from_obj", one_rectangle)
+    assert load_instance(texts[0]) == matrix_to_rectangles(matrix)
+    assert load_instance(texts[1]) == kcover
+
+
+def test_codecs_restore_the_callers_gc_setting(monkeypatch):
+    seen = []
+    checked = formats._checked_rectangles
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return checked(*args, **kwargs)
+
+    monkeypatch.setattr(formats, "_checked_rectangles", spy)
+    good = json.dumps(cover_to_obj(construct_recursive_matrix(3)))
+    bad = json.dumps({"n_rows": 2, "n_cols": 2, "rectangles": [{**RECT, "rows": [-1]}]})
+    enabled = gc.isenabled()
+    try:
+        for setting in (True, False):
+            (gc.enable if setting else gc.disable)()
+            assert isinstance(load_instance(good), RectangleCover)
+            assert gc.isenabled() is setting
+            with pytest.raises(FormatError):
+                load_instance(bad)
+            assert gc.isenabled() is setting
+            cover_to_obj(construct_recursive_matrix(3))
+            assert gc.isenabled() is setting
+            with pytest.raises(NotShufflePreserved):
+                cover_to_obj(ColorMatrix(((1, 2), (2, 1))))
+            assert gc.isenabled() is setting
+    finally:
+        (gc.enable if enabled else gc.disable)()
+    # the collector is off while the rectangles are built
+    assert seen == [False] * 4
