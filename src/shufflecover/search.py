@@ -7,6 +7,14 @@ lies in at most m rectangles.  The search runs over that cover space:
 depth-first, branching on the lexicographically first uncovered cell,
 trying the candidate rectangles through it thinnest first, then largest.
 
+The p = 2 row (no monochromatic K_{2,2}) needs no search.  Every
+rectangle there has one row or one column, and a cover exists exactly when
+n = 1 or n <= 2m-2, which is p = 2 > guaranteed_p(n, m).  So every such
+cell is answered at the root with the certificate
+:func:`~shufflecover.constructions.construct_block_circulant` builds, and
+every other p = 2 cell is refuted at the root by the counting bound below.
+The depth-first search runs on p >= 3 only.
+
 Every prune is provably complete: none loses a cover.  A candidate never
 includes a row above the branching row (those rows are covered), and each
 of its lines brings an uncovered cell (shrinking a cover's rectangle to such
@@ -58,14 +66,16 @@ Verdicts are SAT (with a certificate cover), UNSAT (search space exhausted),
 or INCONCLUSIVE (timeout or node budget hit; never reported as UNSAT).
 
 A node is a state entered: the root and every child that passed the
-counting bound.  Practical envelope, measured with ``bench/run.py`` in
-reference seconds (see bench/README.md): the counting bound refutes every
-guaranteed cell at the root, in 1 node, so the 150 cells of ``table
---n-max 5`` take 516 nodes in all.  All 8 ``hot_cells`` cells are decided,
-in about 0.52 s for the whole pass; the slowest, (6,4,2), (7,3,3) and
-(7,5,2), are SAT in 6,427, 286 and 17,758 nodes.  ``threshold_table(7,
-timeout_per_cell=20)`` decides all 392 cells with n <= 7 in 26,118 nodes
-and about 0.8 raw seconds on a 2-core VM.
+counting bound; a p = 2 cell answered by the construction is 1 node.
+Practical envelope, measured with ``bench/run.py`` in reference seconds
+(see bench/README.md): the counting bound refutes every guaranteed cell
+at the root, in 1 node, so the 150 cells of ``table --n-max 5`` take 401
+nodes in all.  All 8 ``hot_cells`` cells are decided in 293 nodes, about
+0.015 s for the whole pass; all but (7,3,3), SAT in 286 nodes, are
+decided at the root.  ``threshold_table(7)`` decides all 392 cells with
+n <= 7 in 1,695 nodes and under 0.1 raw seconds on a 2-core VM; the DFS
+alone, run on the p = 2 cells too, takes 26,118 nodes there.  (10,4,3)
+is SAT in 13,305 nodes, about 1.3 raw seconds.
 """
 
 from __future__ import annotations
@@ -76,6 +86,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from .constructions import construct_block_circulant
 from .core import Rectangle, RectangleCover, avoidance_threshold, check_ints, guaranteed_p
 
 SAT = "SAT"
@@ -116,13 +127,14 @@ class SearchStats:
 
     ``nodes`` counts every state entered, the root included; dead children
     and children that fail the counting bound are never built and not
-    counted.  ``prunes`` maps a reason to how often it fired: ``counting``
-    (a generated child fails the counting bound, or the root does; on a
-    SAT cell this also counts the failing siblings generated after the
-    winning branch), ``no_candidates`` (no live rectangle through the first
-    uncovered cell leaves a child that passes the bound), ``abort_timeout``
-    and ``abort_nodes`` (a budget ran out; the verdict is INCONCLUSIVE).
-    ``millis`` is the wall-clock time of the search.
+    counted.  A p = 2 cell answered by the construction at the root is 1
+    node with no prunes.  ``prunes`` maps a reason to how often it fired:
+    ``counting`` (a generated child fails the counting bound, or the root
+    does; on a SAT cell this also counts the failing siblings generated
+    after the winning branch), ``no_candidates`` (no live rectangle through
+    the first uncovered cell leaves a child that passes the bound),
+    ``abort_timeout`` and ``abort_nodes`` (a budget ran out; the verdict is
+    INCONCLUSIVE).  ``millis`` is the wall-clock time of the search.
     """
 
     nodes: int = 0
@@ -193,8 +205,10 @@ class _Searcher:
         self.full = (1 << (n * n)) - 1
         # Lines 0..n-1 are the rows and n..2n-1 the columns; shifting a
         # line's cells down by shift[x] aligns it with the rest of its side.
+        # column 0 is the sum of 2^(r*n) over the rows, (2^(n*n) - 1) / (2^n - 1)
+        column = ((1 << n * n) - 1) // ((1 << n) - 1)
         self.mask = [((1 << n) - 1) << (r * n) for r in range(n)]
-        self.mask += [sum(1 << (r * n + c) for r in range(n)) for c in range(n)]
+        self.mask += [column << c for c in range(n)]
         self.shift = [r * n for r in range(n)] + list(range(n))
         # cap[s][u]: cap_L of a line with s uses left and u uncovered cells
         t = p - 1
@@ -422,15 +436,23 @@ def search_avoiding(params: SearchParams) -> SearchOutcome:
     """Decide whether an avoiding cover exists for the cell (n, m, p).
 
     SAT outcomes carry a certificate :class:`RectangleCover` (coverage
-    complete, local width <= m, every thin side <= p-1) with colors numbered
-    in discovery order.  UNSAT means the dominance-canonical space was
-    exhausted.  Budgets produce INCONCLUSIVE; ``timeout`` is one wall-clock
-    limit for the whole search.
+    complete, local width <= m, every thin side <= p-1).  A cell with p = 2
+    above guaranteed_p(n, m) is answered before any search, with the
+    block-circulant cover (module docstring); the budgets do not apply to
+    it.  Every other cell runs the depth-first search, whose certificate
+    numbers its colors in discovery order.  UNSAT means the
+    dominance-canonical space was exhausted.  Budgets produce INCONCLUSIVE;
+    ``timeout`` is one wall-clock limit for the whole search.
     """
-    n = params.n
+    n, m, p = params.n, params.m, params.p
     start = time.monotonic()
+    if p == 2 and p > guaranteed_p(n, m):
+        # n = 1 or n <= 2m-2: the block-circulant cover answers at the root
+        witness = construct_block_circulant(n, m, p)
+        millis = (time.monotonic() - start) * 1000.0
+        return SearchOutcome(SAT, witness, SearchStats(1, {}, millis))
     deadline = start + params.timeout if params.timeout is not None else None
-    searcher = _Searcher(n, params.m, params.p, deadline, params.node_limit)
+    searcher = _Searcher(n, m, p, deadline, params.node_limit)
     witness = None
     try:
         if searcher.search(0, [0] * (2 * n)):
@@ -464,7 +486,11 @@ def threshold_table(
     guaranteed (p <= guaranteed_p(n, m): every valid coloring contains a
     monochromatic K_{p,p}, so the search must come back UNSAT), avoidable
     (p > ceil(n/m): the mod-m construction avoids, so SAT), or open (the
-    search is the tie-breaker).
+    paper's bounds leave the cell undecided; it is SAT by the
+    block-circulant construction, and on the p = 2 row
+    :func:`search_avoiding` answers it with that construction, while on
+    p >= 3 the search finds its own certificate).  ``timeout_per_cell``
+    and ``node_limit`` apply to each cell's search on its own.
     """
     if m_max is None:
         m_max = n_max

@@ -48,7 +48,7 @@ from shufflecover import (
 )
 from shufflecover.cli import run
 from shufflecover.search import _Searcher
-from test_search import assert_certificate
+from test_search import assert_certificate, run_dfs
 
 
 def criterion(num, name, budget_s):
@@ -364,8 +364,9 @@ def test_criterion_9_oracle_equivalence():
 def test_criterion_10_n7_table_decided():
     rows = list(threshold_table(7, timeout_per_cell=20))
     assert len(rows) == 7 * 7 * 8 == 392
-    # the node total locks the search order on every cell
-    assert sum(row.nodes for row in rows) == 26118
+    # the DFS's node total locks its order on every cell, the p = 2 row
+    # included, which search_avoiding answers at the root
+    assert sum(run_dfs(row.n, row.m, row.p).stats.nodes for row in rows) == 26118
     for row in rows:
         assert row.verdict == (SAT if row.p > guaranteed_p(row.n, row.m) else UNSAT), row
         if row.verdict == SAT:

@@ -467,7 +467,7 @@ def test_search_exit_codes(capsys, monkeypatch):
     assert run(["search", "--n", "3", "--m", "2", "--p", "2"]) == 1
     assert json.loads(capsys.readouterr().out)["verdict"] == "UNSAT"
     monkeypatch.setenv("RAMSEY_GUARD_NODES", "5")
-    assert run(["search", "--n", "4", "--m", "3", "--p", "2"]) == 4
+    assert run(["search", "--n", "7", "--m", "3", "--p", "3"]) == 4
     obj = json.loads(capsys.readouterr().out)
     assert obj["verdict"] == "INCONCLUSIVE" and obj["witness"] is None
 

@@ -5,7 +5,9 @@ guaranteed cells must come back UNSAT, avoidable cells must produce a
 certificate, and the open cell (4, 3, 2) is known SAT.  The whole n <= 5
 table is pinned verdict by verdict, so a prune that loses a cover shows;
 it is checked with the counting bound off as well, since the bound alone
-refutes every guaranteed cell.
+refutes every guaranteed cell.  ``search_avoiding`` answers the p = 2 row
+at the root, so the tests that pin the DFS's order, verdicts or budgets
+drive ``_Searcher`` directly or use cells with p >= 3.
 """
 
 import operator
@@ -25,13 +27,14 @@ from shufflecover import (
     avoidance_threshold,
     check_coverage,
     find_mono_biclique_brute,
+    find_mono_biclique_fast,
     guaranteed_p,
     local_profile,
     search_avoiding,
     table_row_csv,
     threshold_table,
 )
-from shufflecover.search import _Searcher, _prefixes
+from shufflecover.search import SearchOutcome, SearchStats, _Searcher, _prefixes, _witness_cover
 
 
 # threshold_table(5) verdicts for p = 1..6, by (n, m); S = SAT, U = UNSAT
@@ -68,6 +71,16 @@ def run(n, m, p, **kw):
     return search_avoiding(SearchParams(n, m, p, **kw))
 
 
+def run_dfs(n, m, p):
+    """The DFS alone on the cell, with no budget: what ``search_avoiding``
+    runs on every cell it does not answer at the root."""
+    searcher = _Searcher(n, m, p, None, None)
+    found = searcher.search(0, [0] * (2 * n))
+    witness = _witness_cover(n, searcher.witness) if found else None
+    stats = SearchStats(searcher.nodes, dict(searcher.prunes))
+    return SearchOutcome(SAT if found else UNSAT, witness, stats)
+
+
 def assert_certificate(outcome, n, m, p):
     cover = outcome.witness
     assert cover is not None
@@ -75,8 +88,10 @@ def assert_certificate(outcome, n, m, p):
     assert check_coverage(cover) is None
     assert local_profile(cover).local_width <= m
     assert all(r.min_side <= p - 1 for r in cover.rectangles)
-    # independent check: the certificate really avoids K_{p,p}
-    if p <= 6:
+    assert find_mono_biclique_fast(cover, p) is None
+    # independent check, within the brute detector's guards: the
+    # certificate really avoids K_{p,p}
+    if p <= 6 and n <= 24:
         assert find_mono_biclique_brute(cover, p) is None
 
 
@@ -144,15 +159,18 @@ def test_deterministic_single_worker():
 
 
 def test_node_limit_gives_inconclusive():
-    out = run(4, 3, 2, node_limit=5)
+    # (7,3,3) is SAT after 286 nodes
+    out = run(7, 3, 3, node_limit=5)
     assert out.verdict == INCONCLUSIVE
     assert out.witness is None
+    assert out.stats.prunes["abort_nodes"] == 1
 
 
 def test_timeout_gives_inconclusive():
-    # (6,4,2) is SAT only after tens of thousands of nodes
-    out = run(6, 4, 2, timeout=0.001)
+    # (10,4,3) is SAT only after 13,305 nodes, about 1.3 s
+    out = run(10, 4, 3, timeout=0.001)
     assert out.verdict == INCONCLUSIVE
+    assert out.stats.prunes["abort_timeout"] == 1
 
 
 def test_sat_verdicts_monotone_in_m():
@@ -165,6 +183,53 @@ def test_sat_verdicts_monotone_in_m():
             if sat_seen:
                 assert verdict == SAT
             sat_seen = verdict == SAT
+
+
+def k22_avoidable(n, m):
+    """Whether the n x n grid has an m-local cover with no monochromatic
+    K_{2,2}, from the short argument for p = 2 alone.
+
+    Every rectangle has one row or one column, and merging two rectangles
+    on the same line never raises a line's count.  So some cover, if any
+    exists, has at most one rectangle per row and one per column, and cell
+    (i, j) lies in row i's rectangle (X[i][j] = 1) or in column j's (0).
+    Row i then sees its own rectangle and one per 0 in its row, column j
+    its own and one per 1 in its column.  When n > m, a row of n zeros or a
+    column of n ones would see n colors, so every row has at least n-m+1
+    ones and every column at most m-1: n(n-m+1) <= n(m-1), which is
+    n <= 2m-2.  When n <= m, one rectangle per row does it: that is n = 1
+    for m = 1, and inside n <= 2m-2 for m >= 2.  For n > m with n <= 2m-2,
+    the circulant X with n-m+1 ones per row meets both sums."""
+    return n == 1 or n <= 2 * m - 2
+
+
+def test_k22_row_answered_at_the_root():
+    # every cell of the p = 2 row to n = 40, against the argument above
+    sat = 0
+    for n in range(1, 41):
+        for m in range(1, n + 2):
+            out = run(n, m, 2)
+            if not k22_avoidable(n, m):
+                assert out.verdict == UNSAT, (n, m)
+                assert (out.stats.nodes, out.stats.prunes) == (1, {"counting": 1}), (n, m)
+                continue
+            assert out.verdict == SAT, (n, m)
+            assert (out.stats.nodes, out.stats.prunes) == (1, {}), (n, m)
+            assert_certificate(out, n, m, 2)
+            sat += 1
+    assert sat == 441
+    # the DFS, which decides the row by search, agrees where it can run
+    for n in range(1, 7):
+        for m in range(1, n + 2):
+            assert run_dfs(n, m, 2).verdict == (SAT if k22_avoidable(n, m) else UNSAT), (n, m)
+
+
+def test_budgets_bound_only_the_dfs():
+    # (10,7,2) is answered at the root, before the budgets are looked at;
+    # the DFS left it INCONCLUSIVE at 3 s
+    out = run(10, 7, 2, timeout=1e-9, node_limit=1)
+    assert out.verdict == SAT
+    assert_certificate(out, 10, 7, 2)
 
 
 def test_threshold_table_checks_limits_at_call():
@@ -379,7 +444,7 @@ def test_prefixes_match_product_definition():
 )
 def test_search_order_pinned(cell, nodes, prunes):
     # node and prune counts lock the DFS order, and with it the certificate
-    out = run(*cell)
+    out = run_dfs(*cell)
     assert out.verdict == SAT
     assert_certificate(out, *cell)
     assert out.stats.nodes == nodes
@@ -432,7 +497,7 @@ def test_n5_verdicts_without_counting_bound(monkeypatch):
     monkeypatch.setattr(_Searcher, "within_bound", lambda self, *counts: True)
     for (n, m), verdicts in N5_VERDICTS.items():
         for p, letter in enumerate(verdicts, start=1):
-            out = run(n, m, p)
+            out = run_dfs(n, m, p)
             assert out.verdict == {"S": SAT, "U": UNSAT}[letter], (n, m, p)
             assert "counting" not in out.stats.prunes
 
