@@ -52,7 +52,8 @@ def construct_mod_m(n: int, m: int) -> ColorMatrix:
     occupies exactly the rows congruent to r crossed with all columns.
     """
     check_ints(N_AND_M, n, m, low=1)
-    return ColorMatrix(tuple((i % m,) * n for i in range(n)))
+    rows = [(color,) * n for color in range(min(m, n))]  # one tuple per color
+    return ColorMatrix(tuple(rows[i % m] for i in range(n)))
 
 
 def construct_recursive_matrix(k: int) -> ColorMatrix:

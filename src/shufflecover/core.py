@@ -54,6 +54,13 @@ def check_ints(message: str, *values: object, low: int = 0) -> None:
             raise ValueError(message.format(value))
 
 
+def _row_objects(cells: tuple[tuple[int, ...], ...]) -> dict[int, tuple[int, ...]]:
+    """Each row object of ``cells`` once, keyed by identity, in first-seen
+    order.  A matrix whose rows repeat (mod-m, or parsed from text) shares
+    one tuple per distinct row, so its work per row is done once."""
+    return dict(zip(map(id, cells), cells))
+
+
 @dataclass(frozen=True)
 class ColorMatrix:
     """Simple coloring of a complete bipartite graph: one color per cell."""
@@ -68,7 +75,7 @@ class ColorMatrix:
         width = len(cells[0])
         if width == 0:
             raise ValueError("matrix needs at least one column")
-        for row in cells:
+        for row in _row_objects(cells).values():
             if len(row) != width:
                 raise ValueError("ragged matrix rows")
             # a row of exact non-negative ints passes in C; any other row
@@ -105,16 +112,6 @@ class Rectangle:
         if not self.rows or not self.cols:
             raise ValueError("rectangle sides must be nonempty")
         check_ints(INDICES, *self.rows, *self.cols)
-
-    @classmethod
-    def _checked(cls, color: int, rows: frozenset[int], cols: frozenset[int]) -> Rectangle:
-        """A rectangle from values already checked as :meth:`__post_init__`
-        checks them, built without checking them again."""
-        rect = object.__new__(cls)
-        object.__setattr__(rect, "color", color)
-        object.__setattr__(rect, "rows", rows)
-        object.__setattr__(rect, "cols", cols)
-        return rect
 
     @property
     def min_side(self) -> int:
@@ -380,7 +377,7 @@ class CliqueFamily:
 # validators and conversions
 
 
-_Spans = dict[int, tuple[list[list[int]], set[int]]]
+_Spans = dict[int, tuple[list[tuple[int, ...]], set[int]]]
 
 
 def _color_spans(matrix: ColorMatrix) -> tuple[int, _Spans]:
@@ -388,14 +385,15 @@ def _color_spans(matrix: ColorMatrix) -> tuple[int, _Spans]:
     is shuffle-preserved), read from each distinct row once.
 
     Returns the number of distinct rows and, per color, the groups of equal
-    rows that hold it (one list of row indices per distinct row) and its
-    columns.
+    rows that hold it (one tuple of row indices per distinct row, shared by
+    every color the row holds) and its columns.
     """
     groups: dict[tuple[int, ...], list[int]] = {}
     for r, row in enumerate(matrix.cells):
         groups.setdefault(row, []).append(r)
     spans: _Spans = {}
     for row, rows in groups.items():
+        rows = tuple(rows)
         for c, color in enumerate(row):
             span = spans.get(color)
             if span is None:
@@ -452,7 +450,8 @@ def color_classes(instance: ColorMatrix | RectangleCover) -> list[ColorClass]:
     the matrix without building a :class:`Rectangle`; the matrix must be
     shuffle-preserved, or :class:`NotShufflePreserved` is raised carrying
     the violation :func:`validate_shuffle_preserved` returns.  The sides
-    are collections of distinct indices in no particular order.
+    are tuples or frozensets of distinct indices in no particular order;
+    colors held by the same rows may share one rows tuple.
     """
     if isinstance(instance, RectangleCover):
         return [(rect.color, rect.rows, rect.cols) for rect in instance.rectangles]
@@ -463,7 +462,8 @@ def color_classes(instance: ColorMatrix | RectangleCover) -> list[ColorClass]:
     classes: list[ColorClass] = []
     for color in sorted(spans):  # sorting the bare ids is cheaper than the items
         groups, cols = spans[color]
-        classes.append((color, [*chain.from_iterable(groups)], cols))
+        rows = groups[0] if len(groups) == 1 else (*chain.from_iterable(groups),)
+        classes.append((color, rows, frozenset(cols)))
     return classes
 
 
@@ -552,13 +552,17 @@ def local_profile(cover: RectangleCover) -> LocalProfile:
 
 def matrix_local_profile(matrix: ColorMatrix) -> LocalProfile:
     """Color counts per vertex for a plain matrix (no shuffle assumption)."""
-    row_counts = tuple(map(len, map(set, matrix.cells)))
-    col_counts = tuple(map(len, map(set, zip(*matrix.cells))))
+    # a repeated row adds no color to any column
+    cells = matrix.cells
+    distinct = _row_objects(cells)
+    counts = dict(zip(distinct, map(len, map(set, distinct.values()))))
+    row_counts = tuple(map(counts.__getitem__, map(id, cells)))
+    col_counts = tuple(map(len, map(set, zip(*distinct.values()))))
     return LocalProfile(
         row_counts=row_counts,
         col_counts=col_counts,
         local_width=max(max(row_counts), max(col_counts)),
-        global_colors=len(matrix.colors()),
+        global_colors=len(set().union(*distinct.values())),
     )
 
 

@@ -3,15 +3,18 @@
 Matrix text: first line ``n_rows n_cols``, then one line per row of
 space-separated color ids.  Everything else is JSON with stable key order;
 violations and witnesses carry a ``kind`` discriminator.
+
+The codecs leave the cyclic garbage collector alone; the CLI pauses it
+around each data command as a whole (``cli._gc_paused``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import gc
 import json
-from itertools import chain
+from collections import deque
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Any
 
@@ -102,24 +105,6 @@ def _loader(what: str, bad: str, *keys: str):
     return wrap
 
 
-def _gc_paused(codec):
-    """Run ``codec`` with the cyclic garbage collector off, then restore the
-    caller's setting.  A codec call allocates tens of thousands of dicts,
-    lists, frozensets and rectangles, none of them in a cycle, so the
-    collector's passes over them during the call find nothing to free."""
-
-    @functools.wraps(codec)
-    def paused(*args):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return codec(*args)
-        finally:
-            if enabled:
-                gc.enable()
-    return paused
-
-
 def _check_merged(kept: int, *raw: list) -> None:
     # A true next to a 1 merges into it as a set member (True == 1), so when
     # the sets keep fewer than the ``raw`` lists hold, the lists are checked;
@@ -175,10 +160,15 @@ def _checked_rectangles(
         flat = [*chain.from_iterable(sides)]
         if {*map(type, flat)} != {int} or min(flat) < 0 or max(flat) >= bound:
             return None
-    return tuple(map(Rectangle._checked, colors, map(frozenset, rows), map(frozenset, cols)))
+    # built as the frozen dataclass's own __init__ builds them, but with
+    # C-level maps over whole lists instead of one Python call per rectangle
+    rects = tuple(map(object.__new__, repeat(Rectangle, len(colors))))
+    for name, values in (("color", colors), ("rows", map(frozenset, rows)),
+                         ("cols", map(frozenset, cols))):
+        deque(map(object.__setattr__, rects, repeat(name), values), maxlen=0)
+    return rects
 
 
-@_gc_paused
 def cover_to_obj(instance: ColorMatrix | RectangleCover) -> dict[str, Any]:
     """A cover as a JSON object: its sizes and one rectangle object per
     color class, in :func:`~shufflecover.core.color_classes` order.
@@ -276,7 +266,6 @@ violation_to_obj = witness_to_obj = _tagged_to_obj
 # sniffing loader
 
 
-@_gc_paused
 def load_instance(text: str):
     """Parse matrix text or any of the JSON formats, deciding by content.
 

@@ -1,5 +1,6 @@
 """CLI tests: subcommands, exit codes, formats, pipe composition."""
 
+import gc
 import hashlib
 import io
 import json
@@ -614,3 +615,91 @@ def test_repeated_runs_build_the_parser_once(monkeypatch, capsys):
     assert [code for code, _ in first] == [0, 0, 0, 0, 0, 0, 0, 0, 64, 65]
     assert second == first
     assert len(builds) == 1
+
+
+KPARTITE_TEXT = json.dumps(
+    {"k": 3, "n": 1, "pairs": [{"parts": [0, 1], "rectangles": [RECT]}]}
+)
+# (argv, stdin, exit code, whether the command is a paused data command);
+# every exit path of the four data commands, then search and table
+GC_CALLS = [
+    (["generate", "--kind", "recursive", "--k", "3"], "", 0, True),
+    (["generate", "--kind", "modm", "--n", "5"], "", 64, True),
+    (["validate"], GOLDEN_TEXT, 0, True),
+    (["validate"], "2 2\n1 2\n2 1\n", 2, True),
+    (["validate", "--max-local", "2"], KPARTITE_TEXT, 64, True),
+    (["validate"], "", 65, True),
+    (["detect", "--p", "2"], GOLDEN_TEXT, 0, True),
+    (["detect", "--p", "1"], "2 2\n1 2\n2 1\n", 2, True),
+    (["detect", "--p", "2", "--mode", "brute"], write_matrix(construct_recursive_matrix(5)), 70,
+     True),
+    (["superimposed", "--t", "1"], FAMILY_TEXT, 0, True),
+    (["superimposed", "--t", "1"], GOLDEN_TEXT, 65, True),
+    (["search", "--n", "4", "--m", "3", "--p", "2"], "", 0, False),
+    (["table", "--n-max", "2"], "", 0, False),
+]
+
+
+def test_data_commands_pause_the_gc_and_restore_the_callers_setting(monkeypatch, capsys):
+    seen = []
+
+    def spy(name):
+        fn = getattr(cli, name)
+
+        def recording(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recording)
+
+    # the data commands read their input or write their output through
+    # these; search and table call these
+    for name in ("_read_input", "_write_output", "search_avoiding", "threshold_table"):
+        spy(name)
+    enabled = gc.isenabled()
+    try:
+        for setting in (True, False):
+            for argv, stdin, code, paused in GC_CALLS:
+                (gc.enable if setting else gc.disable)()
+                seen.clear()
+                feed(monkeypatch, stdin)
+                assert run(argv) == code, argv
+                capsys.readouterr()
+                assert gc.isenabled() is setting, argv
+                # the missing --m is refused before anything is written
+                expected = [] if code == 64 and argv[0] == "generate" else [not paused and setting]
+                assert seen == expected, argv
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def test_large_pipe_output_is_unchanged(monkeypatch, capsys):
+    # sha256 over the exit codes and stdout of a fixed generate | validate |
+    # detect pipe on the largest matrices, as printed before rows were
+    # shared, color classes returned tuples and the GC was paused per command
+    digest = hashlib.sha256()
+
+    def step(argv, text=""):
+        feed(monkeypatch, text)
+        code = run(argv)
+        out = capsys.readouterr().out
+        digest.update(f"{code}\n{out}".encode())
+        return out
+
+    recursive = ["generate", "--kind", "recursive", "--k", "7"]
+    inputs = [
+        (step(recursive), 96),  # 3 * 2^(k-2)-local
+        (step(recursive + ["--format", "json"]), 96),
+        (step(["generate", "--kind", "modm", "--n", "256", "--m", "5"]), 5),
+    ]
+    for text, width in inputs:
+        for limit in (width - 1, width):
+            step(["validate", "--max-local", str(limit)], text)
+        for p in ("1", "2", "3"):
+            step(["detect", "--p", p], text)
+    circulant = ["generate", "--kind", "circulant", "--n", "9", "--m", "6", "--p", "2"]
+    step(circulant)
+    step(circulant + ["--format", "json"])
+    assert digest.hexdigest() == (
+        "cd978d5caa8792195fdeb6a6ad52d3d93d6519ed1e4b62478034afd8075f36de"
+    )

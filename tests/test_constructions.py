@@ -105,6 +105,9 @@ def test_mod_m_is_valid_and_m_local(n, m):
     prof = matrix_local_profile(matrix)
     assert prof.local_width == min(m, n)
     assert prof.row_counts == (1,) * n
+    # rows of one color are one shared tuple
+    assert matrix.cells == tuple((i % m,) * n for i in range(n))
+    assert len({*map(id, matrix.cells)}) == min(m, n)
 
 
 @given(n=st.integers(1, 12), m=st.integers(1, 12))

@@ -385,12 +385,28 @@ def reference_violation(cells):
     return None
 
 
+def shared_rows(cells, share):
+    """``cells`` with row r replaced by the first earlier row equal to it
+    wherever ``share[r]`` is set: repeated rows become partly shared
+    objects, partly equal copies."""
+    first = {}
+    return tuple(first.setdefault(row, row) if flag else row for row, flag in zip(cells, share))
+
+
 @st.composite
 def matrices(draw):
     """Small matrices: blow-ups of a grid of distinct colors (shuffle-
     preserved, with repeated or all-distinct rows), the same with one cell
     recolored (a planted swap violation, unless the recoloring happens to
-    keep the property), or cells drawn from a small palette."""
+    keep the property), or cells drawn from a small palette.  A repeated
+    row is sometimes the same tuple object and sometimes an equal copy."""
+    matrix = draw(_matrices())
+    share = draw(st.lists(st.booleans(), min_size=matrix.n_rows, max_size=matrix.n_rows))
+    return ColorMatrix(shared_rows(matrix.cells, share))
+
+
+@st.composite
+def _matrices(draw):
     n_rows, n_cols = draw(st.one_of(
         st.tuples(st.just(1), st.integers(1, 12)),
         st.tuples(st.integers(1, 12), st.just(1)),
@@ -484,3 +500,57 @@ def test_matrix_paths_match_the_cover_paths(matrix):
     assert cover_to_obj(matrix) == cover_to_obj(cover)
     for p in ps:
         assert find_mono_biclique_fast(matrix, p) == find_mono_biclique_fast(cover, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_shared_rows_and_equal_copies_give_the_same_classes_and_profile(matrix):
+    copies = ColorMatrix(tuple(tuple(list(row)) for row in matrix.cells))
+    shared = ColorMatrix(shared_rows(matrix.cells, [True] * matrix.n_rows))
+    assert len({*map(id, shared.cells)}) == len({*shared.cells})
+    for variant in (matrix, copies, shared):
+        cells = variant.cells
+        prof = matrix_local_profile(variant)
+        assert prof.row_counts == tuple(len(set(row)) for row in cells)
+        assert prof.col_counts == tuple(len({row[c] for row in cells}) for c in range(len(cells[0])))
+        assert prof.global_colors == len(set(chain.from_iterable(cells)))
+        assert prof == matrix_local_profile(matrix)
+        if validate_shuffle_preserved(variant) is not None:
+            continue
+        classes = color_classes(variant)
+        # what the classes were before their sides were shared, as sets
+        _, spans = _color_spans(variant)
+        assert [(color, set(rows), set(cols)) for color, rows, cols in classes] == [
+            (color, set(chain.from_iterable(spans[color][0])), spans[color][1])
+            for color in sorted(spans)
+        ]
+        assert [(color, set(rows), set(cols)) for color, rows, cols in classes] == [
+            (color, rows, cols) for color, (rows, cols) in sorted(reference_spans(cells).items())
+        ]
+        # a side one class shares with another cannot be changed by either
+        for _, rows, cols in classes:
+            assert type(rows) in (tuple, frozenset) and type(cols) in (tuple, frozenset)
+
+
+@pytest.mark.parametrize("cells, message", [
+    (((0, -1),) * 4, "color ids must be non-negative integers, got -1"),
+    (((0, 1),) * 2 + ((0,),) + ((0, 1),) * 2, "ragged matrix rows"),
+    (((0, 1), (2.5, 0), (0, -1), (2.5, 0)), "color ids must be non-negative integers, got 2.5"),
+    (((0, True),) * 3 + ((0, -1),), "color ids must be non-negative integers, got True"),
+])
+def test_shared_rows_are_still_checked(cells, message):
+    # tuple multiplication repeats one row object, so each bad row is
+    # checked once and still named
+    with pytest.raises(ValueError) as exc:
+        ColorMatrix(cells)
+    assert str(exc.value) == message
+
+
+@given(st.integers(2, 6), st.integers(0, 5), st.sampled_from([-1, True, 1.5]))
+def test_a_bad_value_in_a_shared_row_is_named(n_rows, pos, bad):
+    row = [*range(6)]
+    row[pos] = bad
+    good, shared = tuple(range(6)), tuple(row)
+    with pytest.raises(ValueError) as exc:
+        ColorMatrix((good,) + (shared,) * n_rows)
+    assert str(exc.value) == f"color ids must be non-negative integers, got {bad!r}"

@@ -1,6 +1,5 @@
 """Codec tests: text matrices, JSON covers, sniffing loader."""
 
-import gc
 import json
 import random
 
@@ -19,7 +18,6 @@ from shufflecover import (
     KPartiteShuffleViolation,
     KPartiteWitness,
     LocalityViolation,
-    NotShufflePreserved,
     Rectangle,
     RectangleCover,
     ShuffleViolation,
@@ -449,34 +447,3 @@ def test_valid_input_never_loads_rectangle_by_rectangle(monkeypatch):
     monkeypatch.setattr(formats, "_rectangle_from_obj", one_rectangle)
     assert load_instance(texts[0]) == matrix_to_rectangles(matrix)
     assert load_instance(texts[1]) == kcover
-
-
-def test_codecs_restore_the_callers_gc_setting(monkeypatch):
-    seen = []
-    checked = formats._checked_rectangles
-
-    def spy(*args, **kwargs):
-        seen.append(gc.isenabled())
-        return checked(*args, **kwargs)
-
-    monkeypatch.setattr(formats, "_checked_rectangles", spy)
-    good = json.dumps(cover_to_obj(construct_recursive_matrix(3)))
-    bad = json.dumps({"n_rows": 2, "n_cols": 2, "rectangles": [{**RECT, "rows": [-1]}]})
-    enabled = gc.isenabled()
-    try:
-        for setting in (True, False):
-            (gc.enable if setting else gc.disable)()
-            assert isinstance(load_instance(good), RectangleCover)
-            assert gc.isenabled() is setting
-            with pytest.raises(FormatError):
-                load_instance(bad)
-            assert gc.isenabled() is setting
-            cover_to_obj(construct_recursive_matrix(3))
-            assert gc.isenabled() is setting
-            with pytest.raises(NotShufflePreserved):
-                cover_to_obj(ColorMatrix(((1, 2), (2, 1))))
-            assert gc.isenabled() is setting
-    finally:
-        (gc.enable if enabled else gc.disable)()
-    # the collector is off while the rectangles are built
-    assert seen == [False] * 4
