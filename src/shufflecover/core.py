@@ -439,6 +439,18 @@ def validate_shuffle_preserved(matrix: ColorMatrix) -> ShuffleViolation | None:
     return _span_violation(matrix, *_color_spans(matrix))
 
 
+def _shuffle_spans(matrix: ColorMatrix) -> _Spans:
+    """Per color, the groups of equal rows that hold it and its columns, as
+    :func:`_color_spans` reads them; the matrix must be shuffle-preserved,
+    or :class:`NotShufflePreserved` is raised carrying the violation
+    :func:`validate_shuffle_preserved` returns."""
+    n_distinct, spans = _color_spans(matrix)
+    violation = _span_violation(matrix, n_distinct, spans)
+    if violation is not None:
+        raise NotShufflePreserved(violation)
+    return spans
+
+
 ColorClass = tuple[int, Collection[int], Collection[int]]
 
 
@@ -455,10 +467,7 @@ def color_classes(instance: ColorMatrix | RectangleCover) -> list[ColorClass]:
     """
     if isinstance(instance, RectangleCover):
         return [(rect.color, rect.rows, rect.cols) for rect in instance.rectangles]
-    n_distinct, spans = _color_spans(instance)
-    violation = _span_violation(instance, n_distinct, spans)
-    if violation is not None:
-        raise NotShufflePreserved(violation)
+    spans = _shuffle_spans(instance)
     classes: list[ColorClass] = []
     for color in sorted(spans):  # sorting the bare ids is cheaper than the items
         groups, cols = spans[color]
@@ -507,10 +516,18 @@ def _first_gap(
     rows: Iterable[int], cols: Sequence[int], rects: Iterable[Rectangle]
 ) -> tuple[int, int] | None:
     """First cell of rows x cols, row-major in the order given, that no
-    rectangle in ``rects`` covers; None if every cell is covered."""
+    rectangle in ``rects`` covers; None if every cell is covered.
+
+    Each distinct column set becomes a bitmask once: rectangles often share
+    one (the k = 7 recursive cover's 8,192 rectangles have 256), and a
+    frozenset caches its hash, so the lookup is cheaper than the sum.
+    """
     masks: dict[int, int] = {}
+    col_masks: dict[frozenset[int], int] = {}
     for rect in rects:
-        col_mask = sum(1 << c for c in rect.cols)
+        col_mask = col_masks.get(rect.cols)
+        if col_mask is None:
+            col_mask = col_masks[rect.cols] = sum(1 << c for c in rect.cols)
         for r in rect.rows:
             masks[r] = masks.get(r, 0) | col_mask
     want = sum(1 << c for c in cols)

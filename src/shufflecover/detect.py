@@ -16,7 +16,7 @@ for the best t-subset; :func:`max_superimposed` finds it exactly.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Union
 
 from .core import (
@@ -30,8 +30,8 @@ from .core import (
     Witness,
     check_kpartite_coverage,
     check_ints,
-    color_classes,
     validate_kpartite,
+    _shuffle_spans,
 )
 
 
@@ -59,21 +59,35 @@ def find_mono_biclique_fast(instance: ColorMatrix | RectangleCover, p: int) -> W
     rows and columns.  Shuffle-preservation makes this scan complete: every
     monochromatic biclique sits inside its color's rectangle.
 
-    Takes a cover, scanned in cover order, or a matrix, scanned in
-    ascending color order over the spans read off the matrix (the order of
-    its :func:`~shufflecover.core.matrix_to_rectangles` cover), so a matrix
-    gives the witness its cover gives.  A matrix that is not
-    shuffle-preserved raises :class:`NotShufflePreserved` before ``p`` is
-    checked.
+    Takes a cover, scanned in cover order, or a matrix, whose lowest color
+    with enough rows and columns wins (the order of its
+    :func:`~shufflecover.core.matrix_to_rectangles` cover), so a matrix
+    gives the witness its cover gives.  On a matrix only the side counts
+    are read off its color spans; sides are built for the witness alone.
+    A matrix that is not shuffle-preserved raises
+    :class:`NotShufflePreserved` before ``p`` is checked.
     """
-    classes = color_classes(instance)
+    if isinstance(instance, RectangleCover):
+        check_ints(_P, p, low=1)
+        for rect in instance.rectangles:
+            if len(rect.rows) >= p and len(rect.cols) >= p:
+                return Witness(
+                    color=rect.color, rows=sorted(rect.rows)[:p], cols=sorted(rect.cols)[:p]
+                )
+        return None
+    spans = _shuffle_spans(instance)
     check_ints(_P, p, low=1)
-    for color, rows, cols in classes:
-        if len(rows) >= p and len(cols) >= p:
-            return Witness(
-                color=color, rows=frozenset(sorted(rows)[:p]), cols=frozenset(sorted(cols)[:p])
-            )
-    return None
+    # a color's rows are those of its row groups; count them only once its
+    # columns reach p
+    color = min(
+        (c for c, (groups, cols) in spans.items() if len(cols) >= p and sum(map(len, groups)) >= p),
+        default=None,
+    )
+    if color is None:
+        return None
+    groups, cols = spans[color]
+    rows = sorted(chain.from_iterable(groups))
+    return Witness(color=color, rows=rows[:p], cols=sorted(cols)[:p])
 
 
 def _edge_triples(graph: BruteInput) -> tuple[int, int, Iterable[EdgeTriple]]:

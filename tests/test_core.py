@@ -4,7 +4,7 @@ Expected values for the 4x4 golden matrix were worked out by hand from its
 color spans before the conversion code existed.
 """
 
-from itertools import chain
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +28,7 @@ from shufflecover import (
     color_classes,
     construct_mod_m,
     cover_to_obj,
+    find_mono_biclique_brute,
     find_mono_biclique_fast,
     guaranteed_p,
     local_profile,
@@ -357,6 +358,127 @@ def test_kpartite_rejects_bad_pairs():
 
 
 # ---------------------------------------------------------------------------
+# coverage scans against per-cell reference code
+
+
+def reference_gap(rows, cols, rects):
+    """First cell of rows x cols, row-major, in no rectangle of ``rects``."""
+    for r in rows:
+        for c in cols:
+            if not any(r in rect.rows and c in rect.cols for rect in rects):
+                return r, c
+    return None
+
+
+@st.composite
+def column_sides(draw, n, pool):
+    """A column side over range(n): one of the ``pool`` sets itself (an
+    object other rectangles share), an equal but distinct copy of one, or
+    a fresh set."""
+    kind = draw(st.sampled_from(["shared", "copy", "fresh"]))
+    if kind == "fresh":
+        return draw(st.frozensets(st.integers(0, n - 1), min_size=1))
+    side = draw(st.sampled_from(pool))
+    if kind == "shared":
+        return side
+    copy = frozenset(sorted(side))
+    assert copy == side and copy is not side
+    return copy
+
+
+@st.composite
+def partial_covers(draw):
+    """Covers whose rectangles draw their columns from a few shared sets,
+    sometimes with every row filled by one shared full-width rectangle
+    apart from at most one row, so that both answers occur."""
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    full = frozenset(range(n_cols))
+    pool = draw(st.lists(st.frozensets(st.integers(0, n_cols - 1), min_size=1),
+                         min_size=1, max_size=3)) + [full]
+    row_sets = st.frozensets(st.integers(0, n_rows - 1), min_size=1)
+    rects = [Rectangle(color=i, rows=draw(row_sets), cols=draw(column_sides(n_cols, pool)))
+             for i in range(draw(st.integers(0, 6)))]
+    if draw(st.booleans()):
+        skip = draw(st.integers(-1, n_rows - 1))
+        rects += [Rectangle(color=100 + r, rows={r}, cols=full) for r in range(n_rows) if r != skip]
+    return RectangleCover(n_rows=n_rows, n_cols=n_cols, rectangles=draw(st.permutations(rects)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_covers())
+def test_check_coverage_matches_per_cell_reference(cover):
+    gap = reference_gap(range(cover.n_rows), range(cover.n_cols), cover.rectangles)
+    assert check_coverage(cover) == (None if gap is None else CoverageViolation(*gap))
+
+
+@st.composite
+def kpartite_covers(draw):
+    """k-partite covers built color by color from touched sets, each pair's
+    block split into two rectangles whose column sides are shared objects
+    or equal copies (one set reused across colors and part pairs), plus
+    stray rectangles and at most one dropped rectangle, so that complete,
+    incomplete, valid and invalid covers all occur."""
+    k, n = draw(st.integers(2, 4)), draw(st.integers(1, 5))
+    full = frozenset(range(n))
+    pool = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1),
+                         min_size=1, max_size=3)) + [full]
+    pairs = {pair: [] for pair in combinations(range(k), 2)}
+    touched_sets = draw(st.lists(
+        st.lists(st.one_of(st.just(frozenset()), st.sampled_from(pool)), min_size=k, max_size=k),
+        min_size=1, max_size=3,
+    ))
+    if draw(st.booleans()):  # one color on every edge: coverage is complete
+        touched_sets.append([full] * k)
+    for color, touched in enumerate(touched_sets):
+        for a, b in pairs:
+            if touched[a] and touched[b]:
+                rows = sorted(touched[a])
+                cut = draw(st.integers(1, len(rows)))
+                for part in (rows[:cut], rows[cut:]):
+                    if part:
+                        cols = touched[b] if draw(st.booleans()) else frozenset(sorted(touched[b]))
+                        pairs[a, b].append(Rectangle(color=color, rows=part, cols=cols))
+    for _ in range(draw(st.integers(0, 2))):
+        rect = Rectangle(color=draw(st.integers(0, 4)),
+                         rows=draw(st.frozensets(st.integers(0, n - 1), min_size=1)),
+                         cols=draw(column_sides(n, pool)))
+        pairs[draw(st.sampled_from(sorted(pairs)))].append(rect)
+    nonempty = sorted(pair for pair, rects in pairs.items() if rects)
+    if nonempty and draw(st.booleans()):
+        rects = pairs[draw(st.sampled_from(nonempty))]
+        rects.pop(draw(st.integers(0, len(rects) - 1)))
+    return KPartiteCover(k=k, n=n, pairs=tuple((a, b, tuple(rects)) for (a, b), rects in pairs.items()))
+
+
+def reference_kpartite_violation(cover):
+    by_pair = {(a, b): rects for a, b, rects in cover.pairs}
+    for color in sorted(cover.colors()):
+        touched = cover.touched_sets(color)
+        for a, b in combinations(range(cover.k), 2):
+            own = [rect for rect in by_pair.get((a, b), ()) if rect.color == color]
+            gap = reference_gap(sorted(touched[a]), sorted(touched[b]), own)
+            if gap is not None:
+                return KPartiteShuffleViolation(color=color, part_u=a, u=gap[0], part_v=b, v=gap[1])
+    return None
+
+
+def reference_kpartite_gap(cover):
+    by_pair = {(a, b): rects for a, b, rects in cover.pairs}
+    for a, b in combinations(range(cover.k), 2):
+        gap = reference_gap(range(cover.n), range(cover.n), by_pair.get((a, b), ()))
+        if gap is not None:
+            return KPartiteCoverageViolation(part_a=a, part_b=b, row=gap[0], col=gap[1])
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(kpartite_covers())
+def test_kpartite_scans_match_per_cell_reference(cover):
+    assert validate_kpartite(cover) == reference_kpartite_violation(cover)
+    assert check_kpartite_coverage(cover) == reference_kpartite_gap(cover)
+
+
+# ---------------------------------------------------------------------------
 # span, profile and codec kernels against cell-by-cell reference code
 
 
@@ -500,6 +622,32 @@ def test_matrix_paths_match_the_cover_paths(matrix):
     assert cover_to_obj(matrix) == cover_to_obj(cover)
     for p in ps:
         assert find_mono_biclique_fast(matrix, p) == find_mono_biclique_fast(cover, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_fast_detector_on_a_matrix_matches_its_cover_and_the_brute_detector(matrix):
+    """The detector reads only side counts off a matrix's spans: its answer
+    for every p is its cover's and, within the brute detector's guards,
+    the brute detector's.  A matrix that is not shuffle-preserved fails
+    with its violation before p is looked at."""
+    violation = validate_shuffle_preserved(matrix)
+    if violation is not None:
+        for p in (0, True, 1):
+            with pytest.raises(NotShufflePreserved) as exc:
+                find_mono_biclique_fast(matrix, p)
+            assert exc.value.violation == violation
+        return
+    for p in (0, True):
+        with pytest.raises(ValueError, match="p must be a positive integer") as exc:
+            find_mono_biclique_fast(matrix, p)
+        assert type(exc.value) is ValueError
+    cover = matrix_to_rectangles(matrix)
+    for p in range(1, max(matrix.n_rows, matrix.n_cols) + 2):
+        witness = find_mono_biclique_fast(matrix, p)
+        assert witness == find_mono_biclique_fast(cover, p)
+        if p <= 6:  # the brute detector's default p guard; sides are at most 12
+            assert witness == find_mono_biclique_brute(matrix, p)
 
 
 @settings(max_examples=300, deadline=None)
