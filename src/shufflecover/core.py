@@ -516,7 +516,8 @@ def _first_gap(
     rows: Iterable[int], cols: Sequence[int], rects: Iterable[Rectangle]
 ) -> tuple[int, int] | None:
     """First cell of rows x cols, row-major in the order given, that no
-    rectangle in ``rects`` covers; None if every cell is covered.
+    rectangle in ``rects`` covers; None if every cell is covered.  ``cols``
+    must be ascending, so a row's first gap is its lowest missing bit.
 
     Each distinct column set becomes a bitmask once: rectangles often share
     one (the k = 7 recursive cover's 8,192 rectangles have 256), and a
@@ -530,11 +531,12 @@ def _first_gap(
             col_mask = col_masks[rect.cols] = sum(1 << c for c in rect.cols)
         for r in rect.rows:
             masks[r] = masks.get(r, 0) | col_mask
-    want = sum(1 << c for c in cols)
+    # (1 << n) - 1 is range(n)'s mask: summing 1 << c is quadratic in n
+    want = (1 << len(cols)) - 1 if cols == range(len(cols)) else sum(1 << c for c in cols)
     for r in rows:
-        mask = masks.get(r, 0)
-        if mask & want != want:
-            return r, next(c for c in cols if not mask >> c & 1)
+        gap = want & ~masks.get(r, 0)
+        if gap:
+            return r, (gap & -gap).bit_length() - 1
     return None
 
 

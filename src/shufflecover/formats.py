@@ -1,8 +1,10 @@
 """Text and JSON codecs for the on-disk formats.
 
 Matrix text: first line ``n_rows n_cols``, then one line per row of
-space-separated color ids.  Everything else is JSON with stable key order;
-violations and witnesses carry a ``kind`` discriminator.
+space-separated color ids, all plain ASCII decimals.  Lines end at a
+newline only, and a trailing carriage return is allowed.  Everything else
+is JSON with stable key order; violations and witnesses carry a ``kind``
+discriminator.
 
 The codecs leave the cyclic garbage collector alone; the CLI pauses it
 around each data command as a whole (``cli._gc_paused``).
@@ -47,15 +49,26 @@ def write_matrix(matrix: ColorMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(line: str) -> tuple[int, ...]:
+    """The space-separated ints of one line.  ``int`` alone would also take
+    digit-group underscores, a plus sign and non-ASCII digits or spaces;
+    those raise ``ValueError`` here."""
+    if not line.isascii() or "_" in line or "+" in line:
+        raise ValueError(line)
+    return tuple(map(int, line.split()))
+
+
 def parse_matrix(text: str) -> ColorMatrix:
-    lines = [line for line in text.splitlines() if line.strip()]
+    # lines end at "\n" only (a trailing "\r" is whitespace); a line with
+    # a non-ASCII character is never blank, so _ints refuses it
+    lines = [line for line in text.split("\n") if not line.isascii() or line.strip()]
     if not lines:
         raise FormatError("empty matrix file")
     header = lines[0].split()
     if len(header) != 2:
         raise FormatError("matrix header must be 'n_rows n_cols'")
     try:
-        n_rows, n_cols = int(header[0]), int(header[1])
+        n_rows, n_cols = _ints(lines[0])
     except ValueError as exc:
         raise FormatError(f"bad matrix header: {lines[0]!r}") from exc
     if n_rows < 1 or n_cols < 1:
@@ -68,7 +81,7 @@ def parse_matrix(text: str) -> ColorMatrix:
         row = parsed.get(line)
         if row is None:
             try:
-                row = tuple(map(int, line.split()))
+                row = _ints(line)
             except ValueError as exc:
                 raise FormatError(f"bad matrix row: {line!r}") from exc
             if len(row) != n_cols:
@@ -128,19 +141,17 @@ def _rectangle_from_obj(obj: dict) -> Rectangle:
 _FIELDS = itemgetter("color", "rows", "cols")
 
 
-def _checked_rectangles(
-    objs: Any, n_rows: Any, n_cols: Any, distinct: bool
-) -> tuple[Rectangle, ...] | None:
+def _checked_rectangles(objs: Any, n_rows: Any, n_cols: Any) -> tuple[Rectangle, ...] | None:
     """The rectangles of a JSON rectangle list, checked as whole lists at C
     speed, or None when any check fails (or the list is empty), for the
     caller to load rectangle by rectangle and word the error.
 
     Every entry must be a dict holding color, rows and cols; every side a
     nonempty list; every color and index an exact int (a bool or float is
-    refused) of at least 0, the colors distinct if ``distinct``; and
-    ``n_rows`` and ``n_cols`` exact ints above every row and column index
-    (so at least 1).  That is all the rectangle and cover constructors
-    check, so a list that passes is built without them.
+    refused) of at least 0, the colors distinct; and ``n_rows`` and
+    ``n_cols`` exact ints above every row and column index (so at least
+    1).  That is all the rectangle and cover constructors check, so a
+    list that passes is built without them.
     """
     if type(objs) is not list or not objs or {*map(type, objs)} != {dict}:
         return None
@@ -152,7 +163,7 @@ def _checked_rectangles(
         return None
     if {*map(type, colors)} != {int} or min(colors) < 0:
         return None
-    if distinct and len({*colors}) < len(colors):
+    if len({*colors}) < len(colors):
         return None
     for sides, bound in ((rows, n_rows), (cols, n_cols)):
         if {*map(type, sides)} != {list} or not all(sides):
@@ -190,7 +201,7 @@ def cover_to_obj(instance: ColorMatrix | RectangleCover) -> dict[str, Any]:
 @_loader("cover", "cover", "n_rows", "n_cols", "rectangles")
 def cover_from_obj(obj: dict) -> RectangleCover:
     n_rows, n_cols, objs = obj["n_rows"], obj["n_cols"], obj["rectangles"]
-    rects = _checked_rectangles(objs, n_rows, n_cols, distinct=True)
+    rects = _checked_rectangles(objs, n_rows, n_cols)
     if rects is not None:
         return RectangleCover._checked(n_rows, n_cols, rects)
     return RectangleCover(
@@ -216,11 +227,7 @@ def kpartite_from_obj(obj: dict) -> KPartiteCover:
         parts = entry["parts"]
         if not isinstance(parts, list) or len(parts) != 2:
             raise FormatError(f"k-partite parts must be a pair of part ids, got {parts!r}")
-        objs = entry["rectangles"]
-        rects = _checked_rectangles(objs, n, n, distinct=False)
-        if rects is None:
-            rects = list(map(_rectangle_from_obj, objs))
-        pairs.append((*parts, rects))
+        pairs.append((*parts, list(map(_rectangle_from_obj, entry["rectangles"]))))
     return KPartiteCover(k=obj["k"], n=n, pairs=tuple(pairs))
 
 

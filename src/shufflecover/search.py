@@ -7,13 +7,13 @@ lies in at most m rectangles.  The search runs over that cover space:
 depth-first, branching on the lexicographically first uncovered cell,
 trying the candidate rectangles through it thinnest first, then largest.
 
-The p = 2 row (no monochromatic K_{2,2}) needs no search.  Every
-rectangle there has one row or one column, and a cover exists exactly when
-n = 1 or n <= 2m-2, which is p = 2 > guaranteed_p(n, m).  So every such
-cell is answered at the root with the certificate
-:func:`~shufflecover.constructions.construct_block_circulant` builds, and
-every other p = 2 cell is refuted at the root by the counting bound below.
-The depth-first search runs on p >= 3 only.
+A cell the theorems decide is answered at the root, whatever the budgets;
+the depth-first search runs only where they are silent.  Every cell with
+p <= guaranteed_p(n, m) is UNSAT: the counting bound below fires exactly
+there on the empty grid.  On the p = 2 row every rectangle has one row or
+one column, and a cover exists exactly when n = 1 or n <= 2m-2, which is
+p = 2 > guaranteed_p(n, m); each such cell is SAT with the cover
+:func:`~shufflecover.constructions.construct_block_circulant` builds.
 
 Every prune is provably complete: none loses a cover.  A candidate never
 includes a row above the branching row (those rows are covered), and each
@@ -62,20 +62,20 @@ lines leaves a cover).  On top of that:
   On the empty grid that leaves [0, a) x [0, b), and since transposing maps
   the empty grid to itself, only a <= b is tried there.
 
-Verdicts are SAT (with a certificate cover), UNSAT (search space exhausted),
-or INCONCLUSIVE (timeout or node budget hit; never reported as UNSAT).
+Verdicts are SAT (with a certificate cover), UNSAT (refuted at the root, or
+the search space exhausted), or INCONCLUSIVE (a budget hit; never UNSAT).
 
 A node is a state entered: the root and every child that passed the
-counting bound; a p = 2 cell answered by the construction is 1 node.
-Practical envelope, measured with ``bench/run.py`` in reference seconds
-(see bench/README.md): the counting bound refutes every guaranteed cell
-at the root, in 1 node, so the 150 cells of ``table --n-max 5`` take 401
-nodes in all.  All 8 ``hot_cells`` cells are decided in 293 nodes, about
-0.015 s for the whole pass; all but (7,3,3), SAT in 286 nodes, are
-decided at the root.  ``threshold_table(7)`` decides all 392 cells with
-n <= 7 in 1,695 nodes and under 0.1 raw seconds on a 2-core VM; the DFS
-alone, run on the p = 2 cells too, takes 26,118 nodes there.  (10,4,3)
-is SAT in 13,305 nodes, about 1.3 raw seconds.
+counting bound; a cell answered at the root is 1 node.  Practical
+envelope, measured with ``bench/run.py`` in reference seconds (see
+bench/README.md): every guaranteed cell is refuted at the root, in 1
+node, so the 150 cells of ``table --n-max 5`` take 401 nodes in all.
+All 8 ``hot_cells`` cells are decided in 293 nodes, about 0.015 s for
+the whole pass; all but (7,3,3), SAT in 286 nodes, are decided at the
+root.  ``threshold_table(7)`` decides all 392 cells with n <= 7 in 1,695
+nodes and under 0.1 raw seconds on a 2-core VM; the DFS alone, run on
+every cell, takes 26,118 nodes there.  (10,4,3) is SAT in 13,305 nodes,
+about 1.3 raw seconds.
 """
 
 from __future__ import annotations
@@ -127,14 +127,15 @@ class SearchStats:
 
     ``nodes`` counts every state entered, the root included; dead children
     and children that fail the counting bound are never built and not
-    counted.  A p = 2 cell answered by the construction at the root is 1
-    node with no prunes.  ``prunes`` maps a reason to how often it fired:
-    ``counting`` (a generated child fails the counting bound, or the root
-    does; on a SAT cell this also counts the failing siblings generated
-    after the winning branch), ``no_candidates`` (no live rectangle through
-    the first uncovered cell leaves a child that passes the bound),
-    ``abort_timeout`` and ``abort_nodes`` (a budget ran out; the verdict is
-    INCONCLUSIVE).  ``millis`` is the wall-clock time of the search.
+    counted; a cell the theorems decide is 1 node (:func:`search_avoiding`).
+    ``prunes`` maps a reason to how often it fired: ``counting`` (a
+    generated child fails the counting bound, or the root does, as on every
+    guaranteed cell; on a SAT cell this also counts the failing siblings
+    generated after the winning branch), ``no_candidates`` (no live
+    rectangle through the first uncovered cell leaves a child that passes
+    the bound), ``abort_timeout`` and ``abort_nodes`` (a budget ran out; the
+    verdict is INCONCLUSIVE).  ``millis`` is the wall-clock time of the
+    search.
     """
 
     nodes: int = 0
@@ -178,8 +179,6 @@ def _prefixes(
     extended."""
     if high < max(low, 0):
         return []
-    if not high:
-        return [((), 0, 0)]  # the thin side's extra lines when p = 2
     rest = 0
     for lines, _, _ in classes:
         rest += len(lines)
@@ -436,36 +435,39 @@ def search_avoiding(params: SearchParams) -> SearchOutcome:
     """Decide whether an avoiding cover exists for the cell (n, m, p).
 
     SAT outcomes carry a certificate :class:`RectangleCover` (coverage
-    complete, local width <= m, every thin side <= p-1).  A cell with p = 2
-    above guaranteed_p(n, m) is answered before any search, with the
-    block-circulant cover (module docstring); the budgets do not apply to
-    it.  Every other cell runs the depth-first search, whose certificate
-    numbers its colors in discovery order.  UNSAT means the
-    dominance-canonical space was exhausted.  Budgets produce INCONCLUSIVE;
-    ``timeout`` is one wall-clock limit for the whole search.
+    complete, local width <= m, every thin side <= p-1).  A cell the
+    theorems decide is answered at the root, in 1 node, whatever the
+    budgets: p <= guaranteed_p(n, m) is UNSAT by the counting bound, and
+    p = 2 above it is SAT with the block-circulant cover (module
+    docstring).  Every other cell runs the depth-first search, whose
+    certificate numbers its colors in discovery order; there UNSAT means
+    the dominance-canonical space was exhausted, and the budgets produce
+    INCONCLUSIVE.  ``timeout`` is one wall-clock limit for the whole search.
     """
     n, m, p = params.n, params.m, params.p
     start = time.monotonic()
-    if p == 2 and p > guaranteed_p(n, m):
-        # n = 1 or n <= 2m-2: the block-circulant cover answers at the root
-        witness = construct_block_circulant(n, m, p)
-        millis = (time.monotonic() - start) * 1000.0
-        return SearchOutcome(SAT, witness, SearchStats(1, {}, millis))
-    deadline = start + params.timeout if params.timeout is not None else None
-    searcher = _Searcher(n, m, p, deadline, params.node_limit)
     witness = None
-    try:
-        if searcher.search(0, [0] * (2 * n)):
-            verdict = SAT
-            witness = _witness_cover(n, searcher.witness)
-        else:
-            verdict = UNSAT
-    except _Abort as abort:
-        searcher.prunes[f"abort_{abort.reason}"] += 1
-        verdict = INCONCLUSIVE
+    if p <= guaranteed_p(n, m):
+        # what the root's counting bound gives: the guarantee theorem
+        verdict, nodes, prunes = UNSAT, 1, {"counting": 1}
+    elif p == 2:
+        # n = 1 or n <= 2m-2: the block-circulant cover answers at the root
+        verdict, witness, nodes, prunes = SAT, construct_block_circulant(n, m, p), 1, {}
+    else:
+        deadline = start + params.timeout if params.timeout is not None else None
+        searcher = _Searcher(n, m, p, deadline, params.node_limit)
+        try:
+            if searcher.search(0, [0] * (2 * n)):
+                verdict = SAT
+                witness = _witness_cover(n, searcher.witness)
+            else:
+                verdict = UNSAT
+        except _Abort as abort:
+            searcher.prunes[f"abort_{abort.reason}"] += 1
+            verdict = INCONCLUSIVE
+        nodes, prunes = searcher.nodes, dict(searcher.prunes)
     millis = (time.monotonic() - start) * 1000.0
-    stats = SearchStats(searcher.nodes, dict(searcher.prunes), millis)
-    return SearchOutcome(verdict, witness, stats)
+    return SearchOutcome(verdict, witness, SearchStats(nodes, prunes, millis))
 
 
 def threshold_table(
@@ -487,10 +489,10 @@ def threshold_table(
     monochromatic K_{p,p}, so the search must come back UNSAT), avoidable
     (p > ceil(n/m): the mod-m construction avoids, so SAT), or open (the
     paper's bounds leave the cell undecided; it is SAT by the
-    block-circulant construction, and on the p = 2 row
-    :func:`search_avoiding` answers it with that construction, while on
-    p >= 3 the search finds its own certificate).  ``timeout_per_cell``
-    and ``node_limit`` apply to each cell's search on its own.
+    block-circulant construction).  Each cell is answered by
+    :func:`search_avoiding`, so a cell the theorems decide ignores the
+    budgets; ``timeout_per_cell`` and ``node_limit`` apply to each other
+    cell's search on its own.
     """
     if m_max is None:
         m_max = n_max

@@ -69,11 +69,45 @@ def test_parse_matrix_skips_blank_lines():
         "2 2\n0 1\nx y",
         "0 2",
         "2 2\n0 -1\n2 3",
+        # what int() alone tolerates: underscores, signs, non-ASCII digits
+        # and spaces, and line breaks other than "\n"
+        "1_0 1\n0",
+        "+1 1\n0",
+        "\u0661 1\n0",
+        "1 1\n1_0",
+        "1 1\n+3",
+        "1 1\n\u0661",
+        "1 2\n0\u00a00",
+        "1 1\n0\n\u3000",
+        "2 2\n0 0\x0c0 0\n",
+        "2 2\n0 0\r0 0\n",
+        "2 2\n0 0\u20280 0\n",
     ],
 )
 def test_parse_matrix_rejects_malformed(text):
     with pytest.raises(FormatError):
         parse_matrix(text)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("1_0 1\n0", "bad matrix header"),
+        ("+1 1\n0", "bad matrix header"),
+        ("\u0661 1\n0", "bad matrix header"),
+        ("1 1\n1_0", "bad matrix row"),
+        ("1 1\n+3", "bad matrix row"),
+        ("1 1\n\u0661", "bad matrix row"),
+        ("1 2\n0\u00a00", "bad matrix row"),
+    ],
+)
+def test_parse_matrix_words_what_int_tolerates(text, error):
+    with pytest.raises(FormatError, match=f"^{error}: "):
+        parse_matrix(text)
+
+
+def test_parse_matrix_takes_crlf_lines():
+    assert parse_matrix("2 2\r\n0 1\r\n\r\n2 3\r\n") == ColorMatrix(((0, 1), (2, 3)))
 
 
 def sample_cover() -> RectangleCover:
@@ -437,13 +471,13 @@ def test_bulk_load_kpartite_part_size_as_per_rectangle(value):
 
 
 def test_valid_input_never_loads_rectangle_by_rectangle(monkeypatch):
+    # a bipartite cover only: a k-partite pair holds a few rectangles, so
+    # its lists are always loaded rectangle by rectangle
     matrix = construct_recursive_matrix(5)
-    kcover = construct_kpartite_avoiding(5, 3, 4)
-    texts = json.dumps(cover_to_obj(matrix)), json.dumps(kpartite_to_obj(kcover))
+    text = json.dumps(cover_to_obj(matrix))
 
     def one_rectangle(obj):
         raise AssertionError("a valid rectangle list was loaded rectangle by rectangle")
 
     monkeypatch.setattr(formats, "_rectangle_from_obj", one_rectangle)
-    assert load_instance(texts[0]) == matrix_to_rectangles(matrix)
-    assert load_instance(texts[1]) == kcover
+    assert load_instance(text) == matrix_to_rectangles(matrix)

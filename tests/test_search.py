@@ -5,9 +5,10 @@ guaranteed cells must come back UNSAT, avoidable cells must produce a
 certificate, and the open cell (4, 3, 2) is known SAT.  The whole n <= 5
 table is pinned verdict by verdict, so a prune that loses a cover shows;
 it is checked with the counting bound off as well, since the bound alone
-refutes every guaranteed cell.  ``search_avoiding`` answers the p = 2 row
-at the root, so the tests that pin the DFS's order, verdicts or budgets
-drive ``_Searcher`` directly or use cells with p >= 3.
+refutes every guaranteed cell.  ``search_avoiding`` answers every cell
+the theorems decide (p <= guaranteed_p, and the p = 2 row) at the root,
+so the tests that pin the DFS's order, verdicts or budgets drive
+``_Searcher`` directly or use undecided cells with p >= 3.
 """
 
 import operator
@@ -34,6 +35,7 @@ from shufflecover import (
     table_row_csv,
     threshold_table,
 )
+from shufflecover import search
 from shufflecover.search import SearchOutcome, SearchStats, _Searcher, _prefixes, _witness_cover
 
 
@@ -230,6 +232,31 @@ def test_budgets_bound_only_the_dfs():
     out = run(10, 7, 2, timeout=1e-9, node_limit=1)
     assert out.verdict == SAT
     assert_certificate(out, 10, 7, 2)
+    # so is the guaranteed cell (60,2,3), which builds no search state
+    out = run(60, 2, 3, timeout=1e-9, node_limit=1)
+    assert (out.verdict, out.stats.nodes, out.stats.prunes) == (UNSAT, 1, {"counting": 1})
+
+
+def test_decided_cells_build_no_searcher(monkeypatch):
+    # every cell the theorems decide is answered before any search state
+    # exists, so with _Searcher unusable each still gets its answer
+    def no_searcher(*args):
+        raise AssertionError(f"a decided cell built a _Searcher{args[:3]}")
+
+    monkeypatch.setattr(search, "_Searcher", no_searcher)
+    unsat = sat = 0
+    for n in range(1, 41):
+        for m in range(1, n + 2):
+            bound = guaranteed_p(n, m)
+            for p in sorted({*range(1, bound + 1), 2}):
+                out = run(n, m, p)
+                if p <= bound:
+                    want, unsat = (UNSAT, 1, {"counting": 1}), unsat + 1
+                else:
+                    want, sat = (SAT, 1, {}), sat + 1
+                assert (out.verdict, out.stats.nodes, out.stats.prunes) == want, (n, m, p)
+    assert sat == 441
+    assert unsat == sum(guaranteed_p(n, m) for n in range(1, 41) for m in range(1, n + 2))
 
 
 def test_threshold_table_checks_limits_at_call():
