@@ -207,20 +207,24 @@ def _cmd_generate(args) -> int:
         if args.kind == "modm":
             if args.n is None or args.m is None:
                 raise ValueError("--kind modm requires --n and --m")
-            matrix = construct_mod_m(args.n, args.m)
+            instance = construct_mod_m(args.n, args.m)
         elif args.kind == "circulant":
             if args.n is None or args.m is None or args.p is None:
                 raise ValueError("--kind circulant requires --n, --m, and --p")
-            # the block-circulant rectangles are disjoint and cover the grid
-            matrix = rectangles_to_matrix(construct_block_circulant(args.n, args.m, args.p))
+            # the block-circulant rectangles are disjoint, cover the grid and
+            # are in color order, so JSON takes them as they are and only the
+            # matrix format needs the n x n flattening
+            instance = construct_block_circulant(args.n, args.m, args.p)
+            if args.fmt != "json":
+                instance = rectangles_to_matrix(instance)
         else:
             if args.k is None:
                 raise ValueError("--kind recursive requires --k")
-            matrix = construct_recursive_matrix(args.k)
+            instance = construct_recursive_matrix(args.k)
         if args.fmt != "json":
-            _write_output(args.out, formats.write_matrix(matrix))
+            _write_output(args.out, formats.write_matrix(instance))
             return EX_OK
-        obj = formats.cover_to_obj(matrix)
+        obj = formats.cover_to_obj(instance)
     _write_output(args.out, _json_line(obj))
     return EX_OK
 

@@ -512,6 +512,19 @@ def rectangles_to_matrix(cover: RectangleCover) -> ColorMatrix:
     return ColorMatrix(tuple(tuple(row) for row in grid))  # type: ignore[arg-type]
 
 
+def _bitmask(indices: Collection[int]) -> int:
+    """The sum of 1 << i over distinct indices i >= 0, in time linear in the
+    largest: a few powers are summed, more are set as ASCII 0s and 1s that
+    ``int`` reads in base 2.  Summing many powers is quadratic in the
+    largest index."""
+    if len(indices) <= 16:
+        return sum(1 << i for i in indices)
+    bits = bytearray(b"0") * (max(indices) + 1)
+    for i in indices:
+        bits[i] = 49  # ord("1")
+    return int(bits[::-1], 2)
+
+
 def _first_gap(
     rows: Iterable[int], cols: Sequence[int], rects: Iterable[Rectangle]
 ) -> tuple[int, int] | None:
@@ -519,20 +532,20 @@ def _first_gap(
     rectangle in ``rects`` covers; None if every cell is covered.  ``cols``
     must be ascending, so a row's first gap is its lowest missing bit.
 
-    Each distinct column set becomes a bitmask once: rectangles often share
-    one (the k = 7 recursive cover's 8,192 rectangles have 256), and a
-    frozenset caches its hash, so the lookup is cheaper than the sum.
+    Each distinct column set becomes a bitmask once (:func:`_bitmask`):
+    rectangles often share one (the k = 7 recursive cover's 8,192
+    rectangles have 256), and a frozenset caches its hash, so the lookup is
+    cheaper than building the mask.
     """
     masks: dict[int, int] = {}
     col_masks: dict[frozenset[int], int] = {}
     for rect in rects:
         col_mask = col_masks.get(rect.cols)
         if col_mask is None:
-            col_mask = col_masks[rect.cols] = sum(1 << c for c in rect.cols)
+            col_mask = col_masks[rect.cols] = _bitmask(rect.cols)
         for r in rect.rows:
             masks[r] = masks.get(r, 0) | col_mask
-    # (1 << n) - 1 is range(n)'s mask: summing 1 << c is quadratic in n
-    want = (1 << len(cols)) - 1 if cols == range(len(cols)) else sum(1 << c for c in cols)
+    want = (1 << len(cols)) - 1 if cols == range(len(cols)) else _bitmask(cols)
     for r in rows:
         gap = want & ~masks.get(r, 0)
         if gap:
@@ -608,21 +621,43 @@ def triple_count(cover: RectangleCover) -> int:
 # k-partite validators
 
 
+_ColorGroup = tuple[dict[int, set[int]], dict[tuple[int, int], list[Rectangle]]]
+
+
+def _color_groups(cover: KPartiteCover) -> dict[int, _ColorGroup]:
+    """Per color, in one pass over the cover: the vertices it touches in
+    each part it touches (the nonempty :meth:`KPartiteCover.touched_sets`),
+    and its rectangles by part pair, in cover order."""
+    groups: dict[int, _ColorGroup] = {}
+    for a, b, rects in cover.pairs:
+        for rect in rects:
+            group = groups.get(rect.color)
+            if group is None:
+                group = groups[rect.color] = ({}, {})
+            touched, own = group
+            touched.setdefault(a, set()).update(rect.rows)
+            touched.setdefault(b, set()).update(rect.cols)
+            own.setdefault((a, b), []).append(rect)
+    return groups
+
+
 def validate_kpartite(cover: KPartiteCover) -> KPartiteShuffleViolation | None:
     """Check the multipartite swap property.
 
     For every color c and every two parts a != b that c touches, every pair
     (u, v) with u in the touched set of a and v in the touched set of b must
-    carry an edge of color c.  Returns the first missing pair found, or None.
+    carry an edge of color c.  Returns the first missing pair found, colors
+    ascending and part pairs in order, or None.
     """
-    by_pair = {(a, b): rects for a, b, rects in cover.pairs}
-    for color in sorted(cover.colors()):
-        touched = cover.touched_sets(color)
-        for a, b in combinations(range(cover.k), 2):
-            if not (touched[a] and touched[b]):
-                continue
-            own = [rect for rect in by_pair.get((a, b), ()) if rect.color == color]
-            gap = _first_gap(sorted(touched[a]), sorted(touched[b]), own)
+    return _kpartite_violation(_color_groups(cover))
+
+
+def _kpartite_violation(groups: dict[int, _ColorGroup]) -> KPartiteShuffleViolation | None:
+    """:func:`validate_kpartite` on the cover's :func:`_color_groups`."""
+    for color in sorted(groups):
+        touched, own = groups[color]
+        for a, b in combinations(sorted(touched), 2):
+            gap = _first_gap(sorted(touched[a]), sorted(touched[b]), own.get((a, b), ()))
             if gap is not None:
                 return KPartiteShuffleViolation(
                     color=color, part_u=a, u=gap[0], part_v=b, v=gap[1]

@@ -30,7 +30,8 @@ from .core import (
     Witness,
     check_kpartite_coverage,
     check_ints,
-    validate_kpartite,
+    _color_groups,
+    _kpartite_violation,
     _shuffle_spans,
 )
 
@@ -208,14 +209,16 @@ def find_mono_kpartite(cover: KPartiteCover, p: int) -> KPartiteWitness | None:
     input.
     """
     check_ints(_P, p, low=1)
-    violation = validate_kpartite(cover) or check_kpartite_coverage(cover)
+    groups = _color_groups(cover)
+    violation = _kpartite_violation(groups) or check_kpartite_coverage(cover)
     if violation is not None:
         raise NotShufflePreserved(violation)  # type: ignore[arg-type]
-    for color in sorted(cover.colors()):
-        touched = cover.touched_sets(color)
-        if all(len(t) >= p for t in touched):
+    for color in sorted(groups):
+        touched = groups[color][0]
+        if len(touched) == cover.k and all(len(t) >= p for t in touched.values()):
             return KPartiteWitness(
-                color=color, parts=tuple(frozenset(sorted(t)[:p]) for t in touched)
+                color=color,
+                parts=tuple(frozenset(sorted(touched[part])[:p]) for part in range(cover.k)),
             )
     return None
 

@@ -73,9 +73,10 @@ node, so the 150 cells of ``table --n-max 5`` take 401 nodes in all.
 All 8 ``hot_cells`` cells are decided in 293 nodes, about 0.015 s for
 the whole pass; all but (7,3,3), SAT in 286 nodes, are decided at the
 root.  ``threshold_table(7)`` decides all 392 cells with n <= 7 in 1,695
-nodes and under 0.1 raw seconds on a 2-core VM; the DFS alone, run on
-every cell, takes 26,118 nodes there.  (10,4,3) is SAT in 13,305 nodes,
-about 1.3 raw seconds.
+nodes and about 0.09 raw seconds on a 2-core VM; it builds none of the
+309 SAT certificates, which ``search_avoiding`` on the same cells would
+add about 0.025 s for.  The DFS alone, run on every cell, takes 26,118
+nodes there.  (10,4,3) is SAT in 13,305 nodes, about 1.3 raw seconds.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 from .constructions import construct_block_circulant
 from .core import Rectangle, RectangleCover, avoidance_threshold, check_ints, guaranteed_p
@@ -152,6 +154,10 @@ class SearchOutcome:
 
 @dataclass(frozen=True)
 class TableRow:
+    """One cell of :func:`threshold_table`: its regime, verdict and nodes,
+    and ``millis``, the wall-clock time to decide it (no certificate is
+    built)."""
+
     n: int
     m: int
     p: int
@@ -431,6 +437,35 @@ def _witness_cover(n: int, rects: list[tuple[tuple[int, ...], tuple[int, ...]]])
     )
 
 
+def _decide(
+    params: SearchParams,
+) -> tuple[str, int, dict[str, int], Callable[[], RectangleCover] | None]:
+    """The verdict on the cell, its nodes and prunes, and ``certify``: None,
+    or on a SAT cell a zero-argument builder of its certificate cover, so a
+    caller that prints only the verdict builds none (:func:`search_avoiding`
+    has the rules)."""
+    n, m, p = params.n, params.m, params.p
+    if p <= guaranteed_p(n, m):
+        # what the root's counting bound gives: the guarantee theorem
+        return UNSAT, 1, {"counting": 1}, None
+    if p == 2:
+        # n = 1 or n <= 2m-2: the block-circulant cover answers at the root
+        return SAT, 1, {}, partial(construct_block_circulant, n, m, p)
+    deadline = time.monotonic() + params.timeout if params.timeout is not None else None
+    searcher = _Searcher(n, m, p, deadline, params.node_limit)
+    certify = None
+    try:
+        if searcher.search(0, [0] * (2 * n)):
+            verdict = SAT
+            certify = partial(_witness_cover, n, searcher.witness)
+        else:
+            verdict = UNSAT
+    except _Abort as abort:
+        searcher.prunes[f"abort_{abort.reason}"] += 1
+        verdict = INCONCLUSIVE
+    return verdict, searcher.nodes, dict(searcher.prunes), certify
+
+
 def search_avoiding(params: SearchParams) -> SearchOutcome:
     """Decide whether an avoiding cover exists for the cell (n, m, p).
 
@@ -443,29 +478,11 @@ def search_avoiding(params: SearchParams) -> SearchOutcome:
     certificate numbers its colors in discovery order; there UNSAT means
     the dominance-canonical space was exhausted, and the budgets produce
     INCONCLUSIVE.  ``timeout`` is one wall-clock limit for the whole search.
+    ``millis`` counts the certificate's build too.
     """
-    n, m, p = params.n, params.m, params.p
     start = time.monotonic()
-    witness = None
-    if p <= guaranteed_p(n, m):
-        # what the root's counting bound gives: the guarantee theorem
-        verdict, nodes, prunes = UNSAT, 1, {"counting": 1}
-    elif p == 2:
-        # n = 1 or n <= 2m-2: the block-circulant cover answers at the root
-        verdict, witness, nodes, prunes = SAT, construct_block_circulant(n, m, p), 1, {}
-    else:
-        deadline = start + params.timeout if params.timeout is not None else None
-        searcher = _Searcher(n, m, p, deadline, params.node_limit)
-        try:
-            if searcher.search(0, [0] * (2 * n)):
-                verdict = SAT
-                witness = _witness_cover(n, searcher.witness)
-            else:
-                verdict = UNSAT
-        except _Abort as abort:
-            searcher.prunes[f"abort_{abort.reason}"] += 1
-            verdict = INCONCLUSIVE
-        nodes, prunes = searcher.nodes, dict(searcher.prunes)
+    verdict, nodes, prunes, certify = _decide(params)
+    witness = certify() if certify is not None else None
     millis = (time.monotonic() - start) * 1000.0
     return SearchOutcome(verdict, witness, SearchStats(nodes, prunes, millis))
 
@@ -489,10 +506,12 @@ def threshold_table(
     monochromatic K_{p,p}, so the search must come back UNSAT), avoidable
     (p > ceil(n/m): the mod-m construction avoids, so SAT), or open (the
     paper's bounds leave the cell undecided; it is SAT by the
-    block-circulant construction).  Each cell is answered by
-    :func:`search_avoiding`, so a cell the theorems decide ignores the
-    budgets; ``timeout_per_cell`` and ``node_limit`` apply to each other
-    cell's search on its own.
+    block-circulant construction).  Each cell is decided as
+    :func:`search_avoiding` decides it, with the same verdict, nodes and
+    budgets, but no certificate is built, so a row's ``millis`` is the time
+    to decide the cell.  A cell the theorems decide ignores the budgets;
+    ``timeout_per_cell`` and ``node_limit`` apply to each other cell's
+    search on its own.
     """
     if m_max is None:
         m_max = n_max
@@ -517,16 +536,10 @@ def _table_row(n: int, m: int, p: int, timeout: float | None, node_limit: int | 
         regime = "avoidable"
     else:
         regime = "open"
-    outcome = search_avoiding(SearchParams(n, m, p, timeout=timeout, node_limit=node_limit))
-    return TableRow(
-        n=n,
-        m=m,
-        p=p,
-        regime=regime,
-        verdict=outcome.verdict,
-        nodes=outcome.stats.nodes,
-        millis=outcome.stats.millis,
-    )
+    start = time.monotonic()
+    verdict, nodes, _, _ = _decide(SearchParams(n, m, p, timeout=timeout, node_limit=node_limit))
+    millis = (time.monotonic() - start) * 1000.0
+    return TableRow(n=n, m=m, p=p, regime=regime, verdict=verdict, nodes=nodes, millis=millis)
 
 
 CSV_HEADER = "n,m,p,regime,verdict,nodes,millis"

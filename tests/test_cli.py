@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from shufflecover import cli, core, write_matrix, construct_recursive_matrix
+from shufflecover import cli, core, formats, write_matrix, construct_recursive_matrix
+from shufflecover import construct_block_circulant, guaranteed_p
 from shufflecover.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -410,6 +411,19 @@ def test_generate_circulant_pipes_into_validate_and_detect(monkeypatch, capsys, 
             feed(monkeypatch, text)
             assert run(["detect", "--p", str(p), "--mode", mode]) == 0
             assert capsys.readouterr() == ("none\n", "")
+
+
+def test_generate_circulant_json_is_the_matrix_cover(capsys):
+    # JSON is emitted from the rectangles, byte for byte as from their matrix
+    for n in range(1, 13):
+        for m in range(1, n + 1):
+            for p in range(guaranteed_p(n, m) + 1, n + 2):
+                argv = ["generate", "--kind", "circulant", "--n", str(n), "--m", str(m),
+                        "--p", str(p), "--format", "json"]
+                assert run(argv) == 0
+                cover = construct_block_circulant(n, m, p)
+                want = formats.cover_to_obj(core.rectangles_to_matrix(cover))
+                assert capsys.readouterr().out == json.dumps(want) + "\n", (n, m, p)
 
 
 def test_detect_kpartite_two_colors(monkeypatch, capsys):

@@ -17,6 +17,7 @@ from shufflecover import (
     KPartiteCover,
     KPartiteCoverageViolation,
     KPartiteShuffleViolation,
+    KPartiteWitness,
     LocalityViolation,
     NotShufflePreserved,
     OverlapError,
@@ -31,6 +32,7 @@ from shufflecover import (
     cover_to_obj,
     find_mono_biclique_brute,
     find_mono_biclique_fast,
+    find_mono_kpartite,
     guaranteed_p,
     local_profile,
     locality_violation,
@@ -43,7 +45,7 @@ from shufflecover import (
     validate_shuffle_preserved,
     write_matrix,
 )
-from shufflecover.core import _color_spans
+from shufflecover.core import _bitmask, _color_spans, _first_gap
 
 M2_ROWS = (
     (1, 5, 2, 2),
@@ -225,6 +227,18 @@ def test_coverage_scan_is_linear_in_declared_width(check, cover, gap):
     # width took 4.3 s at 400,000 of them
     start = time.perf_counter()
     assert check(cover) == gap
+    assert time.perf_counter() - start < 2
+
+
+def test_coverage_scan_is_linear_in_a_rectangles_width():
+    # one rectangle over columns 0..w-2 of a one-row cover: summing 1 << c
+    # over its columns, quadratic in w, took about 4 s at this width
+    width = 400_000
+    cover = RectangleCover(
+        n_rows=1, n_cols=width, rectangles=(Rectangle(color=0, rows=[0], cols=range(width - 1)),)
+    )
+    start = time.perf_counter()
+    assert check_coverage(cover) == CoverageViolation(row=0, col=width - 1)
     assert time.perf_counter() - start < 2
 
 
@@ -430,6 +444,23 @@ def test_check_coverage_matches_per_cell_reference(cover):
     assert check_coverage(cover) == (None if gap is None else CoverageViolation(*gap))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_first_gap_matches_reference_on_wide_column_sets(data):
+    # past 16 indices a mask is built from bytes, not summed
+    n_cols = data.draw(st.integers(1, 120))
+    sides = st.frozensets(st.integers(0, n_cols - 1), min_size=1)
+    rects = [
+        Rectangle(color=i, rows=data.draw(st.frozensets(st.integers(0, 2), min_size=1)),
+                  cols=data.draw(st.one_of(sides, st.just(frozenset(range(n_cols))))))
+        for i in range(data.draw(st.integers(0, 4)))
+    ]
+    for rect in rects:
+        assert _bitmask(rect.cols) == sum(1 << c for c in rect.cols)
+    for cols in (range(n_cols), sorted(data.draw(sides))):
+        assert _first_gap(range(3), cols, rects) == reference_gap(range(3), cols, rects)
+
+
 @st.composite
 def kpartite_covers(draw):
     """k-partite covers built color by color from touched sets, each pair's
@@ -495,6 +526,27 @@ def reference_kpartite_gap(cover):
 def test_kpartite_scans_match_per_cell_reference(cover):
     assert validate_kpartite(cover) == reference_kpartite_violation(cover)
     assert check_kpartite_coverage(cover) == reference_kpartite_gap(cover)
+
+
+def reference_mono_kpartite(cover, p):
+    for color in sorted(cover.colors()):
+        touched = cover.touched_sets(color)
+        if all(len(t) >= p for t in touched):
+            return KPartiteWitness(color=color, parts=tuple(frozenset(sorted(t)[:p]) for t in touched))
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(kpartite_covers())
+def test_find_mono_kpartite_matches_per_color_reference(cover):
+    violation = reference_kpartite_violation(cover) or reference_kpartite_gap(cover)
+    for p in range(1, cover.n + 2):
+        if violation is not None:
+            with pytest.raises(NotShufflePreserved) as info:
+                find_mono_kpartite(cover, p)
+            assert info.value.violation == violation
+        else:
+            assert find_mono_kpartite(cover, p) == reference_mono_kpartite(cover, p)
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,24 @@ def test_threshold_table_matches_regimes():
             assert row.verdict in (SAT, UNSAT)
 
 
+def test_table_rows_decide_as_search_does(monkeypatch):
+    rows = list(threshold_table(6))
+    assert len(rows) == 6 * 6 * 7
+    for row in rows:
+        out = run(row.n, row.m, row.p)
+        assert (row.verdict, row.nodes) == (out.verdict, out.stats.nodes), row
+
+    # the table prints no certificate, so it builds none
+    def build(*args):
+        raise AssertionError("the table built a certificate")
+
+    monkeypatch.setattr(search, "construct_block_circulant", build)
+    monkeypatch.setattr(search, "_witness_cover", build)
+    assert [(row.verdict, row.nodes) for row in threshold_table(6)] == [
+        (row.verdict, row.nodes) for row in rows
+    ]
+
+
 def test_n5_verdict_table_pinned():
     assert len(N5_VERDICTS) * 6 == 150
     for (n, m), verdicts in N5_VERDICTS.items():
