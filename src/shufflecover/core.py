@@ -514,15 +514,12 @@ def rectangles_to_matrix(cover: RectangleCover) -> ColorMatrix:
 
 def _bitmask(indices: Collection[int]) -> int:
     """The sum of 1 << i over distinct indices i >= 0, in time linear in the
-    largest: a few powers are summed, more are set as ASCII 0s and 1s that
-    ``int`` reads in base 2.  Summing many powers is quadratic in the
-    largest index."""
-    if len(indices) <= 16:
-        return sum(1 << i for i in indices)
-    bits = bytearray(b"0") * (max(indices) + 1)
+    largest: the bits are set in a bytearray that ``int.from_bytes`` reads.
+    Summing the powers is quadratic in the largest index."""
+    bits = bytearray(max(indices, default=-1) // 8 + 1)
     for i in indices:
-        bits[i] = 49  # ord("1")
-    return int(bits[::-1], 2)
+        bits[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(bits, "little")
 
 
 def _first_gap(
@@ -649,11 +646,7 @@ def validate_kpartite(cover: KPartiteCover) -> KPartiteShuffleViolation | None:
     carry an edge of color c.  Returns the first missing pair found, colors
     ascending and part pairs in order, or None.
     """
-    return _kpartite_violation(_color_groups(cover))
-
-
-def _kpartite_violation(groups: dict[int, _ColorGroup]) -> KPartiteShuffleViolation | None:
-    """:func:`validate_kpartite` on the cover's :func:`_color_groups`."""
+    groups = _color_groups(cover)
     for color in sorted(groups):
         touched, own = groups[color]
         for a, b in combinations(sorted(touched), 2):

@@ -30,8 +30,8 @@ from .core import (
     Witness,
     check_kpartite_coverage,
     check_ints,
+    validate_kpartite,
     _color_groups,
-    _kpartite_violation,
     _shuffle_spans,
 )
 
@@ -209,10 +209,10 @@ def find_mono_kpartite(cover: KPartiteCover, p: int) -> KPartiteWitness | None:
     input.
     """
     check_ints(_P, p, low=1)
-    groups = _color_groups(cover)
-    violation = _kpartite_violation(groups) or check_kpartite_coverage(cover)
+    violation = validate_kpartite(cover) or check_kpartite_coverage(cover)
     if violation is not None:
         raise NotShufflePreserved(violation)  # type: ignore[arg-type]
+    groups = _color_groups(cover)
     for color in sorted(groups):
         touched = groups[color][0]
         if len(touched) == cover.k and all(len(t) >= p for t in touched.values()):

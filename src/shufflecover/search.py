@@ -442,8 +442,8 @@ def _decide(
 ) -> tuple[str, int, dict[str, int], Callable[[], RectangleCover] | None]:
     """The verdict on the cell, its nodes and prunes, and ``certify``: None,
     or on a SAT cell a zero-argument builder of its certificate cover, so a
-    caller that prints only the verdict builds none (:func:`search_avoiding`
-    has the rules)."""
+    caller that asks only for the verdict builds none
+    (:func:`search_avoiding` has the rules)."""
     n, m, p = params.n, params.m, params.p
     if p <= guaranteed_p(n, m):
         # what the root's counting bound gives: the guarantee theorem
@@ -466,7 +466,7 @@ def _decide(
     return verdict, searcher.nodes, dict(searcher.prunes), certify
 
 
-def search_avoiding(params: SearchParams) -> SearchOutcome:
+def search_avoiding(params: SearchParams, *, certificate: bool = True) -> SearchOutcome:
     """Decide whether an avoiding cover exists for the cell (n, m, p).
 
     SAT outcomes carry a certificate :class:`RectangleCover` (coverage
@@ -478,11 +478,14 @@ def search_avoiding(params: SearchParams) -> SearchOutcome:
     certificate numbers its colors in discovery order; there UNSAT means
     the dominance-canonical space was exhausted, and the budgets produce
     INCONCLUSIVE.  ``timeout`` is one wall-clock limit for the whole search.
-    ``millis`` counts the certificate's build too.
+    ``millis`` counts the certificate's build too.  With
+    ``certificate=False`` no certificate is built, a SAT outcome's witness
+    is None and ``millis`` is the time to decide the cell; verdict and
+    stats are otherwise the same.
     """
     start = time.monotonic()
     verdict, nodes, prunes, certify = _decide(params)
-    witness = certify() if certify is not None else None
+    witness = certify() if certify is not None and certificate else None
     millis = (time.monotonic() - start) * 1000.0
     return SearchOutcome(verdict, witness, SearchStats(nodes, prunes, millis))
 
@@ -506,12 +509,12 @@ def threshold_table(
     monochromatic K_{p,p}, so the search must come back UNSAT), avoidable
     (p > ceil(n/m): the mod-m construction avoids, so SAT), or open (the
     paper's bounds leave the cell undecided; it is SAT by the
-    block-circulant construction).  Each cell is decided as
-    :func:`search_avoiding` decides it, with the same verdict, nodes and
-    budgets, but no certificate is built, so a row's ``millis`` is the time
-    to decide the cell.  A cell the theorems decide ignores the budgets;
-    ``timeout_per_cell`` and ``node_limit`` apply to each other cell's
-    search on its own.
+    block-circulant construction).  Each cell is answered by
+    :func:`search_avoiding` with ``certificate=False``: the same verdict,
+    nodes and budgets, but no certificate is built, so a row's ``millis`` is
+    the time to decide the cell.  A cell the theorems decide ignores the
+    budgets; ``timeout_per_cell`` and ``node_limit`` apply to each other
+    cell's search on its own.
     """
     if m_max is None:
         m_max = n_max
@@ -536,10 +539,18 @@ def _table_row(n: int, m: int, p: int, timeout: float | None, node_limit: int | 
         regime = "avoidable"
     else:
         regime = "open"
-    start = time.monotonic()
-    verdict, nodes, _, _ = _decide(SearchParams(n, m, p, timeout=timeout, node_limit=node_limit))
-    millis = (time.monotonic() - start) * 1000.0
-    return TableRow(n=n, m=m, p=p, regime=regime, verdict=verdict, nodes=nodes, millis=millis)
+    outcome = search_avoiding(
+        SearchParams(n, m, p, timeout=timeout, node_limit=node_limit), certificate=False
+    )
+    return TableRow(
+        n=n,
+        m=m,
+        p=p,
+        regime=regime,
+        verdict=outcome.verdict,
+        nodes=outcome.stats.nodes,
+        millis=outcome.stats.millis,
+    )
 
 
 CSV_HEADER = "n,m,p,regime,verdict,nodes,millis"

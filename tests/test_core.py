@@ -447,7 +447,7 @@ def test_check_coverage_matches_per_cell_reference(cover):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_first_gap_matches_reference_on_wide_column_sets(data):
-    # past 16 indices a mask is built from bytes, not summed
+    # column sets up to 120 wide, which span several bytes of a mask
     n_cols = data.draw(st.integers(1, 120))
     sides = st.frozensets(st.integers(0, n_cols - 1), min_size=1)
     rects = [

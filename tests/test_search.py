@@ -294,15 +294,26 @@ def test_table_rows_decide_as_search_does(monkeypatch):
         out = run(row.n, row.m, row.p)
         assert (row.verdict, row.nodes) == (out.verdict, out.stats.nodes), row
 
-    # the table prints no certificate, so it builds none
+    # the table prints no certificate, so it builds none; each cell goes
+    # through search_avoiding, looked up at call time, so a wrapper put on
+    # it sees every cell
     def build(*args):
         raise AssertionError("the table built a certificate")
 
+    calls = []
+    decide = search.search_avoiding
+
+    def wrapped(*args, **kwargs):
+        calls.append(args[0])
+        return decide(*args, **kwargs)
+
     monkeypatch.setattr(search, "construct_block_circulant", build)
     monkeypatch.setattr(search, "_witness_cover", build)
+    monkeypatch.setattr(search, "search_avoiding", wrapped)
     assert [(row.verdict, row.nodes) for row in threshold_table(6)] == [
         (row.verdict, row.nodes) for row in rows
     ]
+    assert [(c.n, c.m, c.p) for c in calls] == [(row.n, row.m, row.p) for row in rows]
 
 
 def test_n5_verdict_table_pinned():
