@@ -61,8 +61,8 @@ from .detect import (
     max_superimposed,
     superimposed_bound,
 )
-from .search import SearchParams, search_avoiding, table_row_csv, threshold_table
-from .search import CSV_HEADER
+from .search import INCONCLUSIVE, SAT, UNSAT, SearchParams, search_avoiding, threshold_table
+from .search import CSV_HEADER, table_row_csv
 
 EX_OK = 0
 EX_UNSAT = 1
@@ -303,11 +303,7 @@ def _cmd_search(args) -> int:
         },
     }
     _emit_json(obj)
-    if outcome.verdict == "SAT":
-        return EX_OK
-    if outcome.verdict == "UNSAT":
-        return EX_UNSAT
-    return EX_INCONCLUSIVE
+    return {SAT: EX_OK, UNSAT: EX_UNSAT, INCONCLUSIVE: EX_INCONCLUSIVE}[outcome.verdict]
 
 
 @_gc_paused

@@ -26,10 +26,14 @@ class OverlapError(ValueError):
 class NotShufflePreserved(ValueError):
     """Raised when an operation requires a shuffle-preserved input.
 
-    Carries the offending :class:`ShuffleViolation` as ``.violation``.
+    Carries the offending violation as ``.violation``: a
+    :class:`ShuffleViolation`, or on a k-partite cover a
+    :class:`KPartiteShuffleViolation` or :class:`KPartiteCoverageViolation`.
     """
 
-    def __init__(self, violation: "ShuffleViolation"):
+    def __init__(
+        self, violation: ShuffleViolation | KPartiteShuffleViolation | KPartiteCoverageViolation
+    ):
         super().__init__(f"not shuffle-preserved: {violation}")
         self.violation = violation
 

@@ -211,7 +211,7 @@ def find_mono_kpartite(cover: KPartiteCover, p: int) -> KPartiteWitness | None:
     check_ints(_P, p, low=1)
     violation = validate_kpartite(cover) or check_kpartite_coverage(cover)
     if violation is not None:
-        raise NotShufflePreserved(violation)  # type: ignore[arg-type]
+        raise NotShufflePreserved(violation)
     groups = _color_groups(cover)
     for color in sorted(groups):
         touched = groups[color][0]

@@ -85,8 +85,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .constructions import construct_block_circulant
 from .core import Rectangle, RectangleCover, avoidance_threshold, check_ints, guaranteed_p
@@ -437,35 +436,6 @@ def _witness_cover(n: int, rects: list[tuple[tuple[int, ...], tuple[int, ...]]])
     )
 
 
-def _decide(
-    params: SearchParams,
-) -> tuple[str, int, dict[str, int], Callable[[], RectangleCover] | None]:
-    """The verdict on the cell, its nodes and prunes, and ``certify``: None,
-    or on a SAT cell a zero-argument builder of its certificate cover, so a
-    caller that asks only for the verdict builds none
-    (:func:`search_avoiding` has the rules)."""
-    n, m, p = params.n, params.m, params.p
-    if p <= guaranteed_p(n, m):
-        # what the root's counting bound gives: the guarantee theorem
-        return UNSAT, 1, {"counting": 1}, None
-    if p == 2:
-        # n = 1 or n <= 2m-2: the block-circulant cover answers at the root
-        return SAT, 1, {}, partial(construct_block_circulant, n, m, p)
-    deadline = time.monotonic() + params.timeout if params.timeout is not None else None
-    searcher = _Searcher(n, m, p, deadline, params.node_limit)
-    certify = None
-    try:
-        if searcher.search(0, [0] * (2 * n)):
-            verdict = SAT
-            certify = partial(_witness_cover, n, searcher.witness)
-        else:
-            verdict = UNSAT
-    except _Abort as abort:
-        searcher.prunes[f"abort_{abort.reason}"] += 1
-        verdict = INCONCLUSIVE
-    return verdict, searcher.nodes, dict(searcher.prunes), certify
-
-
 def search_avoiding(params: SearchParams, *, certificate: bool = True) -> SearchOutcome:
     """Decide whether an avoiding cover exists for the cell (n, m, p).
 
@@ -484,8 +454,30 @@ def search_avoiding(params: SearchParams, *, certificate: bool = True) -> Search
     stats are otherwise the same.
     """
     start = time.monotonic()
-    verdict, nodes, prunes, certify = _decide(params)
-    witness = certify() if certify is not None and certificate else None
+    n, m, p = params.n, params.m, params.p
+    witness = None
+    if p <= guaranteed_p(n, m):
+        # what the root's counting bound gives: the guarantee theorem
+        verdict, nodes, prunes = UNSAT, 1, {"counting": 1}
+    elif p == 2:
+        # n = 1 or n <= 2m-2: the block-circulant cover answers at the root
+        verdict, nodes, prunes = SAT, 1, {}
+        if certificate:
+            witness = construct_block_circulant(n, m, p)
+    else:
+        deadline = start + params.timeout if params.timeout is not None else None
+        searcher = _Searcher(n, m, p, deadline, params.node_limit)
+        try:
+            if searcher.search(0, [0] * (2 * n)):
+                verdict = SAT
+                if certificate:
+                    witness = _witness_cover(n, searcher.witness)
+            else:
+                verdict = UNSAT
+        except _Abort as abort:
+            searcher.prunes[f"abort_{abort.reason}"] += 1
+            verdict = INCONCLUSIVE
+        nodes, prunes = searcher.nodes, dict(searcher.prunes)
     millis = (time.monotonic() - start) * 1000.0
     return SearchOutcome(verdict, witness, SearchStats(nodes, prunes, millis))
 

@@ -454,6 +454,16 @@ def test_detect_kpartite_three_colors_fast_matches_brute(monkeypatch, capsys):
             assert json.loads(outs[0])["kind"] == "kpartite_witness"
 
 
+def test_detect_kpartite_coverage_gap(monkeypatch, capsys):
+    # parts 0 and 2 share no edge, so their first pair is reported
+    cover = {"k": 3, "n": 2, "pairs": [
+        {"parts": [0, 1], "rectangles": [{"color": 0, "rows": [0, 1], "cols": [0, 1]}]}]}
+    feed(monkeypatch, json.dumps(cover))
+    assert run(["detect", "--p", "1"]) == 2
+    assert capsys.readouterr().out == (
+        '{"kind": "kpartite_coverage", "part_a": 0, "part_b": 2, "row": 0, "col": 0}\n')
+
+
 def test_detect_guard_exit_code(monkeypatch):
     big = write_matrix(construct_recursive_matrix(5))  # 32 > brute max_n
     feed(monkeypatch, big)

@@ -15,6 +15,7 @@ from shufflecover import (
     CliqueFamily,
     InstanceTooLarge,
     KPartiteCover,
+    KPartiteCoverageViolation,
     KPartiteWitness,
     NotShufflePreserved,
     Rectangle,
@@ -247,13 +248,16 @@ def test_kpartite_rejects_invalid_coloring():
 
 
 def test_kpartite_rejects_coverage_gap():
+    # every color is complete on what it touches, so the error carries the
+    # uncovered pair, not a shuffle violation
     rects = (
         Rectangle(color=0, rows=[0], cols=[0, 1]),
         Rectangle(color=1, rows=[1], cols=[0]),
     )
     cover = KPartiteCover(k=2, n=2, pairs=((0, 1, rects),))
-    with pytest.raises(NotShufflePreserved):
+    with pytest.raises(NotShufflePreserved) as info:
         find_mono_kpartite(cover, 1)
+    assert info.value.violation == KPartiteCoverageViolation(part_a=0, part_b=1, row=1, col=1)
 
 
 def test_kpartite_brute_guard_overridable():

@@ -11,6 +11,7 @@ so the tests that pin the DFS's order, verdicts or budgets drive
 ``_Searcher`` directly or use undecided cells with p >= 3.
 """
 
+import hashlib
 import operator
 import random
 from collections import Counter
@@ -314,6 +315,18 @@ def test_table_rows_decide_as_search_does(monkeypatch):
         (row.verdict, row.nodes) for row in rows
     ]
     assert [(c.n, c.m, c.p) for c in calls] == [(row.n, row.m, row.p) for row in rows]
+
+
+def test_n7_public_table_pinned():
+    # what `table --n-max 7 | cut -d, -f1-5` prints; the nodes column is
+    # pinned by its total, which moves when the DFS or the root answers do
+    rows = list(threshold_table(7))
+    lines = [CSV_HEADER, *map(table_row_csv, rows)]
+    text = "".join(",".join(line.split(",")[:5]) + "\n" for line in lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3eb4eda6ae818467cfb1d69a62c8f517fa7a52f6a3de3c7164ffb84f5805c595"
+    )
+    assert sum(row.nodes for row in rows) == 1695
 
 
 def test_n5_verdict_table_pinned():
