@@ -11,6 +11,10 @@ table.  Data goes to stdout, diagnostics to stderr.  Exit codes:
 * 65: malformed or unusable input file
 * 70: an internal size guard refused the computation
 
+Run as a program, it ends by SIGPIPE, quietly, when the reader of its
+stdout closes the pipe early (``table ... | head``), as any filter does;
+``run`` leaves the signal as its caller set it.
+
 ``RAMSEY_GUARD_NODES`` overrides the default search node budget.
 
 The data commands (generate, validate, detect, superimposed) run with the
@@ -25,6 +29,7 @@ import functools
 import gc
 import json
 import os
+import signal
 import sys
 
 from . import formats
@@ -368,6 +373,10 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # Python ignores SIGPIPE, so a write to a closed pipe would raise an
+    # OSError that run() reports as an input error (exit 65)
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

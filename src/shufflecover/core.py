@@ -14,9 +14,10 @@ integers and need not be contiguous.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 
 
 class OverlapError(ValueError):
@@ -56,6 +57,19 @@ def check_ints(message: str, *values: object, low: int = 0) -> None:
         not_int = type(value) is not int and (isinstance(value, bool) or not isinstance(value, int))
         if not_int or value < low:
             raise ValueError(message.format(value))
+
+
+def _collected(values: Iterable[int]) -> Collection[int]:
+    """``values``, or a tuple of them if they have no length (an iterator)."""
+    return values if hasattr(values, "__len__") else tuple(values)
+
+
+def _check_merged(kept: frozenset[int], raw: Collection[int]) -> None:
+    """Refuse a bool a set merged away: ``True == 1``, so the set of ``[1,
+    True]`` keeps the 1 alone; when ``kept`` holds fewer members than
+    ``raw``, ``raw`` itself is checked."""
+    if len(kept) < len(raw):
+        check_ints(INDICES, *raw)
 
 
 def _row_objects(cells: tuple[tuple[int, ...], ...]) -> dict[int, tuple[int, ...]]:
@@ -108,14 +122,19 @@ class Rectangle:
     cols: frozenset[int]
 
     def __post_init__(self):
-        if type(self.rows) is not frozenset:
-            object.__setattr__(self, "rows", frozenset(self.rows))
-        if type(self.cols) is not frozenset:
-            object.__setattr__(self, "cols", frozenset(self.cols))
+        rows, cols = self.rows, self.cols
+        if type(rows) is not frozenset:
+            rows = _collected(rows)
+            object.__setattr__(self, "rows", frozenset(rows))
+        if type(cols) is not frozenset:
+            cols = _collected(cols)
+            object.__setattr__(self, "cols", frozenset(cols))
         check_ints(COLOR_IDS, self.color)
         if not self.rows or not self.cols:
             raise ValueError("rectangle sides must be nonempty")
         check_ints(INDICES, *self.rows, *self.cols)
+        _check_merged(self.rows, rows)
+        _check_merged(self.cols, cols)
 
     @property
     def min_side(self) -> int:
@@ -152,15 +171,35 @@ class RectangleCover:
                 raise ValueError(f"rectangle for color {rect.color} exceeds the grid")
 
     @classmethod
-    def _checked(
-        cls, n_rows: int, n_cols: int, rectangles: tuple[Rectangle, ...]
-    ) -> RectangleCover:
-        """A cover from values already checked as :meth:`__post_init__`
-        checks them, built without checking them again."""
+    def _from_lists(
+        cls, n_rows: object, n_cols: object, colors: Sequence, rows: Sequence, cols: Sequence
+    ) -> RectangleCover | None:
+        """The cover whose rectangle i has color ``colors[i]`` and sides the
+        lists ``rows[i]`` and ``cols[i]``, checked over whole lists at C
+        speed as :class:`Rectangle` and :meth:`__post_init__` check them
+        (an exact int is no bool or float; so no bool merges away); None
+        when any check fails or there are no rectangles, for the caller to
+        build rectangle by rectangle and word the error."""
+        if {type(n_rows), type(n_cols)} != {int} or not colors:
+            return None
+        if {*map(type, colors)} != {int} or min(colors) < 0 or len({*colors}) < len(colors):
+            return None
+        for sides, bound in ((rows, n_rows), (cols, n_cols)):
+            if {*map(type, sides)} != {list} or not all(sides):
+                return None
+            flat = [*chain.from_iterable(sides)]
+            if {*map(type, flat)} != {int} or min(flat) < 0 or max(flat) >= bound:
+                return None
+        # built as the dataclasses' own __init__ builds them, but with
+        # C-level maps over whole lists instead of a Python call per rectangle
+        rects = tuple(map(object.__new__, repeat(Rectangle, len(colors))))
+        for name, values in (("color", colors), ("rows", map(frozenset, rows)),
+                             ("cols", map(frozenset, cols))):
+            deque(map(object.__setattr__, rects, repeat(name), values), maxlen=0)
         cover = object.__new__(cls)
         object.__setattr__(cover, "n_rows", n_rows)
         object.__setattr__(cover, "n_cols", n_cols)
-        object.__setattr__(cover, "rectangles", rectangles)
+        object.__setattr__(cover, "rectangles", rects)
         return cover
 
     def colors(self) -> set[int]:
@@ -350,7 +389,10 @@ class CliqueFamily:
             if color in seen:
                 raise ValueError(f"duplicate color {color}")
             seen.add(color)
-            vertices = frozenset(vertices)
+            if type(vertices) is not frozenset:
+                raw = _collected(vertices)
+                vertices = frozenset(raw)
+                _check_merged(vertices, raw)
             if not vertices:
                 raise ValueError(f"clique for color {color} is empty")
             out_of_range = f"clique for color {color} has out-of-range vertices"
@@ -693,6 +735,8 @@ def guaranteed_p(n: int, m: int) -> int:
 def avoidance_threshold(n: int, m: int) -> int:
     """ceil(n/m): the mod-m construction packs each color into at most this
     many rows, so monochromatic K_{p,p} with p above this value are avoidable
-    by an m-coloring (hence also m-locally)."""
+    by an m-coloring (hence also m-locally).  For m-colorings it is exact: a
+    color with no K_{p,p} has a side of at most p-1 lines, so m colors cover
+    the n^2 cells only when (p-1)m >= n, that is when p > ceil(n/m)."""
     check_ints(N_AND_M, n, m, low=1)
     return -(-n // m)

@@ -15,21 +15,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-from collections import deque
-from itertools import chain, repeat
 from operator import itemgetter
 from typing import Any
 
-from .core import (
-    INDICES,
-    CliqueFamily,
-    ColorMatrix,
-    KPartiteCover,
-    Rectangle,
-    RectangleCover,
-    check_ints,
-    color_classes,
-)
+from .core import CliqueFamily, ColorMatrix, KPartiteCover, Rectangle, RectangleCover, color_classes
 
 
 class FormatError(ValueError):
@@ -118,66 +107,16 @@ def _loader(what: str, bad: str, *keys: str):
     return wrap
 
 
-def _check_merged(kept: int, *raw: list) -> None:
-    # A true next to a 1 merges into it as a set member (True == 1), so when
-    # the sets keep fewer than the ``raw`` lists hold, the lists are checked;
-    # a bool that survives as itself the constructor refuses.
-    if kept < sum(map(len, raw)):
-        check_ints(INDICES, *chain(*raw))
-
-
 def rectangle_to_obj(rect: Rectangle) -> dict[str, Any]:
     return {"color": rect.color, "rows": sorted(rect.rows), "cols": sorted(rect.cols)}
 
 
 @_loader("rectangle", "rectangle", "color", "rows", "cols")
 def _rectangle_from_obj(obj: dict) -> Rectangle:
-    rows, cols = obj["rows"], obj["cols"]
-    rect = Rectangle(color=obj["color"], rows=frozenset(rows), cols=frozenset(cols))
-    _check_merged(len(rect.rows) + len(rect.cols), rows, cols)
-    return rect
+    return Rectangle(color=obj["color"], rows=obj["rows"], cols=obj["cols"])
 
 
 _FIELDS = itemgetter("color", "rows", "cols")
-
-
-def _checked_rectangles(objs: Any, n_rows: Any, n_cols: Any) -> tuple[Rectangle, ...] | None:
-    """The rectangles of a JSON rectangle list, checked as whole lists at C
-    speed, or None when any check fails (or the list is empty), for the
-    caller to load rectangle by rectangle and word the error.
-
-    Every entry must be a dict holding color, rows and cols; every side a
-    nonempty list; every color and index an exact int (a bool or float is
-    refused) of at least 0, the colors distinct; and ``n_rows`` and
-    ``n_cols`` exact ints above every row and column index (so at least
-    1).  That is all the rectangle and cover constructors check, so a
-    list that passes is built without them.
-    """
-    if type(objs) is not list or not objs or {*map(type, objs)} != {dict}:
-        return None
-    if {type(n_rows), type(n_cols)} != {int}:
-        return None
-    try:
-        colors, rows, cols = zip(*map(_FIELDS, objs))
-    except KeyError:
-        return None
-    if {*map(type, colors)} != {int} or min(colors) < 0:
-        return None
-    if len({*colors}) < len(colors):
-        return None
-    for sides, bound in ((rows, n_rows), (cols, n_cols)):
-        if {*map(type, sides)} != {list} or not all(sides):
-            return None
-        flat = [*chain.from_iterable(sides)]
-        if {*map(type, flat)} != {int} or min(flat) < 0 or max(flat) >= bound:
-            return None
-    # built as the frozen dataclass's own __init__ builds them, but with
-    # C-level maps over whole lists instead of one Python call per rectangle
-    rects = tuple(map(object.__new__, repeat(Rectangle, len(colors))))
-    for name, values in (("color", colors), ("rows", map(frozenset, rows)),
-                         ("cols", map(frozenset, cols))):
-        deque(map(object.__setattr__, rects, repeat(name), values), maxlen=0)
-    return rects
 
 
 def cover_to_obj(instance: ColorMatrix | RectangleCover) -> dict[str, Any]:
@@ -201,9 +140,16 @@ def cover_to_obj(instance: ColorMatrix | RectangleCover) -> dict[str, Any]:
 @_loader("cover", "cover", "n_rows", "n_cols", "rectangles")
 def cover_from_obj(obj: dict) -> RectangleCover:
     n_rows, n_cols, objs = obj["n_rows"], obj["n_cols"], obj["rectangles"]
-    rects = _checked_rectangles(objs, n_rows, n_cols)
-    if rects is not None:
-        return RectangleCover._checked(n_rows, n_cols, rects)
+    # checked as whole lists; what core refuses is loaded one by one, to word the error
+    if type(objs) is list and objs and {*map(type, objs)} == {dict}:
+        try:
+            colors, rows, cols = zip(*map(_FIELDS, objs))
+        except KeyError:
+            pass
+        else:
+            cover = RectangleCover._from_lists(n_rows, n_cols, colors, rows, cols)
+            if cover is not None:
+                return cover
     return RectangleCover(
         n_rows=n_rows, n_cols=n_cols, rectangles=list(map(_rectangle_from_obj, objs))
     )
@@ -244,9 +190,7 @@ def clique_family_to_obj(family: CliqueFamily) -> dict[str, Any]:
 def clique_family_from_obj(obj: dict) -> CliqueFamily:
     cliques = []
     for entry in obj["cliques"]:
-        raw = entry["vertices"]
-        vertices = frozenset(raw)
-        _check_merged(len(vertices), raw)
+        vertices = entry["vertices"]  # a missing "vertices" is named before "color"
         cliques.append((entry["color"], vertices))
     return CliqueFamily(n_vertices=obj["n_vertices"], cliques=tuple(cliques))
 

@@ -499,9 +499,9 @@ def threshold_table(
     ``regime`` classifies each cell against the closed-form bounds:
     guaranteed (p <= guaranteed_p(n, m): every valid coloring contains a
     monochromatic K_{p,p}, so the search must come back UNSAT), avoidable
-    (p > ceil(n/m): the mod-m construction avoids, so SAT), or open (the
-    paper's bounds leave the cell undecided; it is SAT by the
-    block-circulant construction).  Each cell is answered by
+    (p > ceil(n/m): the mod-m construction avoids, so SAT; exactly what an
+    m-coloring avoids), or open (the paper's bounds leave the cell
+    undecided; it is SAT by the block-circulant construction).  Each cell is answered by
     :func:`search_avoiding` with ``certificate=False``: the same verdict,
     nodes and budgets, but no certificate is built, so a row's ``millis`` is
     the time to decide the cell.  A cell the theorems decide ignores the

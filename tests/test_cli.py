@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -578,6 +579,22 @@ def test_module_entry_point_pipe():
         input=gen.stdout, capture_output=True, text=True, env=CHILD_ENV,
     )
     assert val.returncode == 0 and val.stdout.strip() == "ok"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_a_closed_pipe_ends_the_program_quietly():
+    # a reader that stops early (``table --n-max 9 | head -1``) is not an
+    # input error: the program ends by SIGPIPE, as any filter does, with
+    # nothing on stderr
+    with subprocess.Popen(
+        [sys.executable, "-m", "shufflecover", "table", "--n-max", "9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=CHILD_ENV,
+    ) as proc:
+        assert proc.stdout.readline() == "n,m,p,regime,verdict,nodes,millis\n"
+        proc.stdout.close()
+        proc.wait(timeout=60)
+        assert proc.stderr.read() == ""
+    assert proc.returncode == -signal.SIGPIPE
 
 
 def test_console_script_detect():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shufflecover import (
+    CliqueFamily,
     ColorMatrix,
     CoverageViolation,
     KPartiteCover,
@@ -126,6 +127,28 @@ def test_rectangle_normalizes_and_measures():
 def test_rectangle_rejects_empty_side():
     with pytest.raises(ValueError):
         Rectangle(color=0, rows=[], cols=[1])
+
+
+@pytest.mark.parametrize("side, bad", [
+    ([1, True], True), ([0, 2, False], False), ([3, 1, 1.0], 1.0), ([4, 1, 0, True], True),
+])
+@pytest.mark.parametrize("given_as", [list, iter])
+def test_a_value_a_set_merges_away_is_still_refused(side, bad, given_as):
+    # True == 1.0 == 1, so the set of [1, True] keeps the 1 alone and a
+    # check of the set would pass; the first bad value as given is named
+    message = f"indices must be non-negative integers, got {bad!r}"
+    for rows, cols in ((given_as(side), [0]), ([0], given_as(side))):
+        with pytest.raises(ValueError) as exc:
+            Rectangle(color=0, rows=rows, cols=cols)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        CliqueFamily(4, ((0, given_as(side)),))
+    assert str(exc.value) == message
+
+
+def test_repeated_indices_merge_without_complaint():
+    assert Rectangle(color=0, rows=[1, 1, 0], cols=iter([2, 2])).rows == {0, 1}
+    assert CliqueFamily(3, ((0, iter([2, 2])),)).cliques == ((0, frozenset({2})),)
 
 
 def test_cover_rejects_duplicate_colors():

@@ -339,7 +339,7 @@ def assert_same_as_per_rectangle(obj) -> None:
     text = json.dumps(obj)
     got = outcome(text)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(formats, "_checked_rectangles", lambda *args, **kwargs: None)
+        patch.setattr(RectangleCover, "_from_lists", lambda *args, **kwargs: None)
         want = outcome(text)
     assert got == want
     assert repr(got) == repr(want)

@@ -7,7 +7,9 @@ left.  Its only prune drops a child in which a line has no use left but
 still has an uncovered cell.  It knows nothing of the counting bound, the
 guarantee theorem, the block-circulant construction or the search's
 candidate order, so agreeing with ``search_avoiding`` on every small cell
-checks the closed-form verdicts and the search alike.
+checks the closed-form verdicts and the search alike.  With a cap of m
+rectangles in all, it checks that ``avoidance_threshold`` is exact for
+m-colorings.
 """
 
 from itertools import combinations
@@ -18,16 +20,18 @@ from shufflecover import (
     Rectangle,
     RectangleCover,
     SearchParams,
+    avoidance_threshold,
     check_coverage,
     local_profile,
     search_avoiding,
 )
 
 
-def avoiding_cover(n, m, p):
+def avoiding_cover(n, m, p, max_rects=None):
     """A list of (rows, cols) rectangles covering the n x n grid, every
-    thin side at most p-1 and every line in at most m of them; None when
-    there is none."""
+    thin side at most p-1, every line in at most m of them and, when
+    ``max_rects`` is given, at most that many in all; None when there is
+    none."""
     cells = [(r, c) for r in range(n) for c in range(n)]
 
     def sides(first):
@@ -49,6 +53,8 @@ def avoiding_cover(n, m, p):
         first = next((cell for cell in cells if cell not in covered), None)
         if first is None:
             return list(chosen)
+        if len(chosen) == max_rects:
+            return None
         for rows in sides(first[0]):
             if any(used[r] == m for r in rows):
                 continue
@@ -88,3 +94,16 @@ def test_search_agrees_with_plain_enumeration():
                 assert local_profile(cover).local_width <= m
                 assert all(rect.min_side <= p - 1 for rect in cover.rectangles)
     assert (len(verdicts), verdicts.count(SAT)) == (40, 22)
+
+
+def test_avoidance_threshold_is_exact_for_m_colorings():
+    # m rectangles with a side of at most p-1 cover the n^2 cells only when
+    # (p-1)m >= n, and the mod-m coloring does it once p > ceil(n/m)
+    cells = 0
+    for n in range(1, 5):
+        for m in range(1, n + 1):
+            for p in range(1, n + 2):
+                found = avoiding_cover(n, m, p, max_rects=m) is not None
+                assert found == (p > avoidance_threshold(n, m)), (n, m, p)
+                cells += 1
+    assert cells == 40

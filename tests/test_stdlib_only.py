@@ -3,7 +3,9 @@
 In an isolated interpreter (``python -I``), every top-level module that
 importing ``shufflecover`` and ``shufflecover.cli`` adds to ``sys.modules``
 must be in ``sys.stdlib_module_names``.  Modules already loaded before the
-import (site ``.pth`` hooks may preload some) are not counted.
+import (site ``.pth`` hooks may preload some) are not counted.  ``-I``
+ignores ``PYTHONDONTWRITEBYTECODE``, so ``-B`` keeps the probe from
+writing bytecode into ``src/``.
 
 Runs under pytest, or as a plain script: ``python tests/test_stdlib_only.py``.
 """
@@ -26,7 +28,8 @@ print(" ".join(sorted(added - set(sys.stdlib_module_names) - {"shufflecover"})))
 
 def test_runtime_imports_only_stdlib():
     probe = subprocess.run(
-        [sys.executable, "-I", "-c", PROBE, str(SRC)], capture_output=True, text=True, check=True
+        [sys.executable, "-I", "-B", "-c", PROBE, str(SRC)],
+        capture_output=True, text=True, check=True,
     )
     assert probe.stdout.split() == [], f"non-stdlib modules imported: {probe.stdout.strip()}"
 
