@@ -10,6 +10,7 @@ table.  Data goes to stdout, diagnostics to stderr.  Exit codes:
 * 64: usage error
 * 65: malformed or unusable input file
 * 70: an internal size guard refused the computation
+* 74: the output could not be written
 
 Run as a program, it ends by SIGPIPE, quietly, when the reader of its
 stdout closes the pipe early (``table ... | head``), as any filter does;
@@ -19,7 +20,7 @@ stdout closes the pipe early (``table ... | head``), as any filter does;
 
 The data commands (generate, validate, detect, superimposed) run with the
 cyclic garbage collector paused, and turn it back on when they return;
-search and table run with the caller's setting (see ``_gc_paused``).
+search and table run with the caller's setting.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .core import (
     RectangleCover,
     avoidance_threshold,
     check_coverage,
+    check_ints,
     check_kpartite_coverage,
     guaranteed_p,
     local_profile,
@@ -76,6 +78,7 @@ EX_INCONCLUSIVE = 4
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_GUARD = 70
+EX_IOERR = 74
 
 _DEFAULT_NODE_LIMIT = 10_000_000
 
@@ -106,44 +109,55 @@ def _build_parser() -> _Parser:
     # defaults to json
     gen.add_argument("--format", dest="fmt", choices=["matrix", "json"], default=None)
     gen.add_argument("--out", default="-")
+    gen.set_defaults(handler=_cmd_generate, paused=True)
 
     val = sub.add_parser("validate", help="check shuffle-preservation (and coverage for covers)")
     val.add_argument("--in", dest="path", default="-")
     val.add_argument("--max-local", type=int, default=None)
+    val.set_defaults(handler=_cmd_validate, paused=True)
 
     det = sub.add_parser("detect", help="find a monochromatic complete subgraph")
     det.add_argument("--in", dest="path", default="-")
     det.add_argument("--p", type=int, required=True)
     det.add_argument("--mode", choices=["fast", "brute"], default="fast")
+    det.set_defaults(handler=_cmd_detect, paused=True)
 
     bound = sub.add_parser("bound", help="closed-form guarantee and avoidance bounds")
     bound.add_argument("--n", type=int, required=True)
     bound.add_argument("--m", type=int, required=True)
+    bound.set_defaults(handler=_cmd_bound, paused=False)
 
     sea = sub.add_parser("search", help="decide one avoidance cell (n, m, p)")
     sea.add_argument("--n", type=int, required=True)
     sea.add_argument("--m", type=int, required=True)
     sea.add_argument("--p", type=int, required=True)
     sea.add_argument("--timeout-sec", type=float, default=None)
+    sea.set_defaults(handler=_cmd_search, paused=False)
 
     sup = sub.add_parser("superimposed", help="t-superimposed clique bound and exact best subset")
     sup.add_argument("--in", dest="path", default="-")
     sup.add_argument("--t", type=int, required=True)
+    sup.set_defaults(handler=_cmd_superimposed, paused=True)
 
     tab = sub.add_parser("table", help="stream the threshold table as CSV")
     tab.add_argument("--n-max", type=int, required=True)
     tab.add_argument("--m-max", type=int, default=None)
     tab.add_argument("--p-max", type=int, default=None)
     tab.add_argument("--timeout-sec", type=float, default=None)
+    tab.set_defaults(handler=_cmd_table, paused=False)
 
     return parser
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    # a file that is missing, a directory or not UTF-8 is unusable input
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise formats.FormatError(str(exc)) from exc
 
 
 def _write_output(path: str, text: str) -> None:
@@ -163,44 +177,18 @@ def _emit_json(obj) -> None:
     sys.stdout.write(_json_line(obj))
 
 
-def _gc_paused(handler):
-    """Run a data command with the cyclic garbage collector off, then
-    restore the caller's setting.
-
-    The rows, dicts, frozensets and rectangles a data command builds form
-    no cycles, so collector passes over them free nothing.  The collector
-    comes back on only after the handler returns, once reference counting
-    has freed them, so the pass then due scans none of them.  search and
-    table are left out: pausing around every command slowed the
-    ``table --n-max 5`` benchmark.
-    """
-
-    @functools.wraps(handler)
-    def paused(args) -> int:
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return handler(args)
-        finally:
-            if enabled:
-                gc.enable()
-    return paused
-
-
 def _node_limit() -> int:
     raw = os.environ.get("RAMSEY_GUARD_NODES")
     if raw is None:
         return _DEFAULT_NODE_LIMIT
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"RAMSEY_GUARD_NODES must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError("RAMSEY_GUARD_NODES must be positive")
+    # plain ASCII digits, as in matrix text: int() also takes " +5_0 " and "\u0665"
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"RAMSEY_GUARD_NODES must be an integer, got {raw!r}")
+    value = int(raw)
+    check_ints("RAMSEY_GUARD_NODES must be positive", value, low=1)
     return value
 
 
-@_gc_paused
 def _cmd_generate(args) -> int:
     if args.kind == "kpartite":
         if args.n is None or args.m is None or args.k is None:
@@ -234,7 +222,6 @@ def _cmd_generate(args) -> int:
     return EX_OK
 
 
-@_gc_paused
 def _cmd_validate(args) -> int:
     instance = formats.load_instance(_read_input(args.path))
     # the locality profile is computed only when --max-local asks for it
@@ -258,7 +245,6 @@ def _cmd_validate(args) -> int:
     return EX_OK
 
 
-@_gc_paused
 def _cmd_detect(args) -> int:
     instance = formats.load_instance(_read_input(args.path))
     if isinstance(instance, CliqueFamily):
@@ -311,7 +297,6 @@ def _cmd_search(args) -> int:
     return {SAT: EX_OK, UNSAT: EX_UNSAT, INCONCLUSIVE: EX_INCONCLUSIVE}[outcome.verdict]
 
 
-@_gc_paused
 def _cmd_superimposed(args) -> int:
     instance = formats.load_instance(_read_input(args.path))
     if not isinstance(instance, CliqueFamily):
@@ -348,19 +333,25 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        handler = {
-            "generate": _cmd_generate,
-            "validate": _cmd_validate,
-            "detect": _cmd_detect,
-            "bound": _cmd_bound,
-            "search": _cmd_search,
-            "superimposed": _cmd_superimposed,
-            "table": _cmd_table,
-        }[args.command]
-        return handler(args)
-    except (formats.FormatError, OSError) as exc:
+        # A data command's rows, dicts, frozensets and rectangles form no
+        # cycles, so collector passes over them free nothing; the collector
+        # comes back on once reference counting has freed them, so the pass
+        # then due scans none of them.  Pausing search and table as well
+        # slowed the ``table --n-max 5`` benchmark.
+        enabled = gc.isenabled()
+        if args.paused:
+            gc.disable()
+        try:
+            return args.handler(args)
+        finally:
+            if enabled:
+                gc.enable()
+    except formats.FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EX_DATAERR
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EX_IOERR
     except NotShufflePreserved as exc:
         _emit_json(formats.violation_to_obj(exc.violation))
         return EX_VIOLATION
@@ -374,7 +365,7 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     # Python ignores SIGPIPE, so a write to a closed pipe would raise an
-    # OSError that run() reports as an input error (exit 65)
+    # OSError that run() reports as an output error (exit 74)
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))

@@ -7,7 +7,7 @@ is JSON with stable key order; violations and witnesses carry a ``kind``
 discriminator.
 
 The codecs leave the cyclic garbage collector alone; the CLI pauses it
-around each data command as a whole (``cli._gc_paused``).
+around each data command as a whole.
 """
 
 from __future__ import annotations

@@ -85,7 +85,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .constructions import construct_block_circulant
 from .core import Rectangle, RectangleCover, avoidance_threshold, check_ints, guaranteed_p
@@ -128,7 +128,8 @@ class SearchStats:
 
     ``nodes`` counts every state entered, the root included; dead children
     and children that fail the counting bound are never built and not
-    counted; a cell the theorems decide is 1 node (:func:`search_avoiding`).
+    counted; a cell the theorems decide is 1 node (:func:`search_avoiding`),
+    and a search whose set-up runs out of time is 0.
     ``prunes`` maps a reason to how often it fired: ``counting`` (a
     generated child fails the counting bound, or the root does, as on every
     guaranteed cell; on a SAT cell this also counts the failing siblings
@@ -201,6 +202,20 @@ def _prefixes(
     return unions
 
 
+def _until(deadline: float | None, items: range) -> Iterable[int]:
+    """``items``; with a ``deadline``, checked before each item, raising
+    ``_Abort("timeout")`` once it has passed."""
+    if deadline is None:
+        return items
+
+    def checked() -> Iterator[int]:
+        for item in items:
+            if time.monotonic() > deadline:
+                raise _Abort("timeout")
+            yield item
+    return checked()
+
+
 class _Searcher:
     def __init__(self, n: int, m: int, p: int, deadline: float | None, node_limit: int | None):
         self.n = n
@@ -211,12 +226,17 @@ class _Searcher:
         # line's cells down by shift[x] aligns it with the rest of its side.
         # column 0 is the sum of 2^(r*n) over the rows, (2^(n*n) - 1) / (2^n - 1)
         column = ((1 << n * n) - 1) // ((1 << n) - 1)
-        self.mask = [((1 << n) - 1) << (r * n) for r in range(n)]
-        self.mask += [column << c for c in range(n)]
+        # the 2n masks of n^2 bits take time and memory in n^3, so set-up
+        # checks the deadline once per line, as the search does per node
+        self.mask = [((1 << n) - 1) << (r * n) for r in _until(deadline, range(n))]
+        self.mask += [column << c for c in _until(deadline, range(n))]
         self.shift = [r * n for r in range(n)] + list(range(n))
         # cap[s][u]: cap_L of a line with s uses left and u uncovered cells
         t = p - 1
-        self.cap = [[(s - (u > t * s)) if u else 0 for u in range(n + 1)] for s in range(m + 1)]
+        self.cap = [
+            [(s - (u > t * s)) if u else 0 for u in range(n + 1)]
+            for s in _until(deadline, range(m + 1))
+        ]
         self.deadline = deadline
         self.node_limit = node_limit
         self.nodes = 0
@@ -447,7 +467,8 @@ def search_avoiding(params: SearchParams, *, certificate: bool = True) -> Search
     docstring).  Every other cell runs the depth-first search, whose
     certificate numbers its colors in discovery order; there UNSAT means
     the dominance-canonical space was exhausted, and the budgets produce
-    INCONCLUSIVE.  ``timeout`` is one wall-clock limit for the whole search.
+    INCONCLUSIVE.  ``timeout`` is one wall-clock limit for the whole search,
+    its set-up included.
     ``millis`` counts the certificate's build too.  With
     ``certificate=False`` no certificate is built, a SAT outcome's witness
     is None and ``millis`` is the time to decide the cell; verdict and
@@ -466,8 +487,9 @@ def search_avoiding(params: SearchParams, *, certificate: bool = True) -> Search
             witness = construct_block_circulant(n, m, p)
     else:
         deadline = start + params.timeout if params.timeout is not None else None
-        searcher = _Searcher(n, m, p, deadline, params.node_limit)
+        searcher, aborted = None, {}
         try:
+            searcher = _Searcher(n, m, p, deadline, params.node_limit)
             if searcher.search(0, [0] * (2 * n)):
                 verdict = SAT
                 if certificate:
@@ -475,9 +497,10 @@ def search_avoiding(params: SearchParams, *, certificate: bool = True) -> Search
             else:
                 verdict = UNSAT
         except _Abort as abort:
-            searcher.prunes[f"abort_{abort.reason}"] += 1
-            verdict = INCONCLUSIVE
-        nodes, prunes = searcher.nodes, dict(searcher.prunes)
+            verdict, aborted = INCONCLUSIVE, {f"abort_{abort.reason}": 1}
+        # a set-up that runs out of time leaves no searcher: no state entered
+        nodes, prunes = (searcher.nodes, dict(searcher.prunes)) if searcher else (0, {})
+        prunes.update(aborted)
     millis = (time.monotonic() - start) * 1000.0
     return SearchOutcome(verdict, witness, SearchStats(nodes, prunes, millis))
 

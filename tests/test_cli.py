@@ -221,8 +221,23 @@ def test_validate_empty_stdin_is_data_error(monkeypatch):
     assert run(["validate"]) == 65
 
 
-def test_missing_file_is_data_error():
-    assert run(["validate", "--in", "/no/such/file"]) == 65
+def test_missing_file_is_data_error(tmp_path, capsys):
+    # a directory, or a file whose bytes are not UTF-8, is unusable input
+    # too, not an output error or a usage error
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"1 1\n\xff\n")
+    for path in ("/no/such/file", str(tmp_path), str(latin1)):
+        assert run(["validate", "--in", path]) == 65, path
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: "), path
+
+
+def test_unwritable_output_is_an_output_error(tmp_path, capsys):
+    for out in (tmp_path / "missing" / "x.txt", tmp_path):
+        argv = ["generate", "--kind", "modm", "--n", "3", "--m", "2", "--out", str(out)]
+        assert run(argv) == 74, out
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("output error: "), out
 
 
 RECT = {"color": 0, "rows": [0], "cols": [0]}
@@ -508,11 +523,18 @@ def test_search_witness_is_reusable_json(monkeypatch, capsys):
     assert capsys.readouterr().out.strip() == "ok"
 
 
-def test_bad_guard_env_is_usage_error(monkeypatch):
-    monkeypatch.setenv("RAMSEY_GUARD_NODES", "not-a-number")
-    assert run(["search", "--n", "2", "--m", "2", "--p", "2"]) == 64
-    monkeypatch.setenv("RAMSEY_GUARD_NODES", "0")
-    assert run(["search", "--n", "2", "--m", "2", "--p", "2"]) == 64
+def test_bad_guard_env_is_usage_error(monkeypatch, capsys):
+    # plain ASCII digits only, as in matrix text: int() would take the
+    # sign, underscore and spaces of " +5_0 " and the Arabic-Indic five
+    for raw in ("not-a-number", "0", "000", "", " +5_0 ", "+5", "-5", "5_0", " 5", "\u0665"):
+        monkeypatch.setenv("RAMSEY_GUARD_NODES", raw)
+        assert run(["search", "--n", "2", "--m", "2", "--p", "2"]) == 64, raw
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error: "), raw
+    # leading zeros are plain digits: (7,3,3), SAT after 286 nodes, is
+    # INCONCLUSIVE under a budget of 005
+    monkeypatch.setenv("RAMSEY_GUARD_NODES", "005")
+    assert run(["search", "--n", "7", "--m", "3", "--p", "3"]) == 4
 
 
 def test_superimposed_frozen_values(monkeypatch, capsys):

@@ -176,6 +176,31 @@ def test_timeout_gives_inconclusive():
     assert out.stats.prunes["abort_timeout"] == 1
 
 
+def test_setup_stops_at_the_deadline(monkeypatch):
+    # the search's set-up checks the deadline once per line: the 2n line
+    # masks, then the m+1 rows of the cap table.  A clock that passes the
+    # deadline after k of those checks stops the set-up at the next one,
+    # before any state is entered; once every check is in time, the root's
+    # own check stops the search at 1 node
+    n, m = 7, 3
+    setup_checks = 2 * n + m + 1
+    for k in (0, 1, n, 2 * n, setup_checks - 1, setup_checks):
+        calls = []
+
+        def clock():
+            calls.append(None)
+            # the first call is the search's start
+            return 0.0 if len(calls) <= k + 1 else 10.0
+
+        monkeypatch.setattr(search.time, "monotonic", clock)
+        out = run(n, m, 3, timeout=1)
+        assert out.verdict == INCONCLUSIVE and out.witness is None, k
+        assert out.stats.nodes == (k == setup_checks), k
+        assert out.stats.prunes == {"abort_timeout": 1}, k
+        # the start, k checks in time, the one that stops, and the end
+        assert len(calls) == k + 3, k
+
+
 def test_sat_verdicts_monotone_in_m():
     # more colors per line never hurts: SAT at m implies SAT at m+1
     for n in (3, 4):
