@@ -25,12 +25,16 @@ lines leaves a cover).  On top of that:
   rectangles the thin-side bound allows, so none is lost.
 * Dead children are never built: a rectangle that uses the last of a
   line's m slots while that line keeps an uncovered cell can never be
-  completed, since no later rectangle may touch that line.  So once the
-  thin side is fixed, a wide class whose lines are on their last use and
-  have an uncovered cell off the thin side is left out, a wide class that
-  meets an uncovered cell of a thin line on its last use is forced in at
-  full length, and the thin side is given up when a forced class cannot
-  join.  Dead children are not counted as nodes.
+  completed, since no later rectangle may touch that line.  The wide
+  side's first line (the one through the branching cell) joins every
+  candidate, so when it is on its last use the thin side must span its
+  uncovered cells: every thin class meeting them is forced in at full
+  length, and only the other thin classes are drawn, in the room left
+  under p-1.  Once the thin side is fixed, a wide class whose lines are on
+  their last use and have an uncovered cell off the thin side is left out,
+  a wide class that meets an uncovered cell of a thin line on its last use
+  is forced in at full length, and the thin side is given up when a forced
+  class cannot join.  Dead children are not counted as nodes.
 * Counting bound, the guarantee theorem's own argument, checked at the
   root on entry and on every other state as it is generated.  Let t = p-1
   and U the uncovered
@@ -52,9 +56,19 @@ lines leaves a cover).  On top of that:
   carries its change as a running sum, class by class, and each thin line
   costs one popcount per child.  A child that fails is one ``counting``
   prune and is never built, sorted or entered; a root that fails is one
-  node and one ``counting`` prune.  The parent hands its per-line counts
-  down: it updates u_L and cap_L on the rectangle's lines before entering
-  the child, and restores them after.
+  node and one ``counting`` prune.  Before its wide sides are drawn, a
+  whole thin side is refuted, as one ``thin_side`` prune, when no wide
+  side can pass: when even the most |new| + t * (the change of sum(cap_L))
+  could be is too little.  That most is the forced wide lines' part,
+  exact, plus t times each thin line's best cap change: after its use its
+  cap_L is at most s, its uses left, reached with one uncovered cell left,
+  or 0 if it had one cell.  No free wide line adds to it: it brings at
+  most t new cells, one per thin line, and loses at least 1 of cap_L,
+  since s_L falls by 1 and u_L by at most t, so [u_L > t*s_L] cannot fall
+  from 1 to 0 (a line covered in full goes from cap_L >= 1 to 0); so it
+  adds at most t - t = 0.  The parent hands its per-line counts down: it
+  updates u_L and cap_L on the rectangle's lines before entering the
+  child, and restores them after.
 * Symmetry is broken (after Crawford, Ginsberg, Luks & Roy, KR 1996).
   Two open lines with the same uncovered cells and the same use count are
   interchangeable: swapping them maps the state to itself, so from each
@@ -70,13 +84,14 @@ counting bound; a cell answered at the root is 1 node.  Practical
 envelope, measured with ``bench/run.py`` in reference seconds (see
 bench/README.md): every guaranteed cell is refuted at the root, in 1
 node, so the 150 cells of ``table --n-max 5`` take 401 nodes in all.
-All 8 ``hot_cells`` cells are decided in 293 nodes, about 0.015 s for
+All 8 ``hot_cells`` cells are decided in 293 nodes, about 0.011 s for
 the whole pass; all but (7,3,3), SAT in 286 nodes, are decided at the
 root.  ``threshold_table(7)`` decides all 392 cells with n <= 7 in 1,695
-nodes and about 0.09 raw seconds on a 2-core VM; it builds none of the
+nodes and about 0.07 raw seconds on a 2-core VM; it builds none of the
 309 SAT certificates, which ``search_avoiding`` on the same cells would
-add about 0.025 s for.  The DFS alone, run on every cell, takes 26,118
-nodes there.  (10,4,3) is SAT in 13,305 nodes, about 1.3 raw seconds.
+add about 0.03 s for.  The DFS alone, run on every cell, takes 26,118
+nodes there.  (10,4,3) is SAT in 13,305 nodes, 0.5-0.8 raw seconds, of
+which 9,924 nodes find no child.
 """
 
 from __future__ import annotations
@@ -133,11 +148,13 @@ class SearchStats:
     ``prunes`` maps a reason to how often it fired: ``counting`` (a
     generated child fails the counting bound, or the root does, as on every
     guaranteed cell; on a SAT cell this also counts the failing siblings
-    generated after the winning branch), ``no_candidates`` (no live
-    rectangle through the first uncovered cell leaves a child that passes
-    the bound), ``abort_timeout`` and ``abort_nodes`` (a budget ran out; the
-    verdict is INCONCLUSIVE).  ``millis`` is the wall-clock time of the
-    search.
+    generated after the winning branch), ``thin_side`` (a candidate thin
+    side none of whose wide sides can pass the counting bound, refuted
+    before they are generated; its children are not counted as ``counting``
+    prunes), ``no_candidates`` (no live rectangle through the first
+    uncovered cell leaves a child that passes the bound), ``abort_timeout``
+    and ``abort_nodes`` (a budget ran out; the verdict is INCONCLUSIVE).
+    ``millis`` is the wall-clock time of the search.
     """
 
     nodes: int = 0
@@ -194,9 +211,14 @@ def _prefixes(
     for lines, masks, gain in classes:
         rest -= len(lines)
         grown = []
-        for union, reach, total in unions:
+        for entry in unions:
+            union, reach, total = entry
             size = len(union)
-            for k in range(max(0, low - size - rest), min(len(lines), high - size) + 1):
+            first = max(0, low - size - rest)
+            if not first:
+                grown.append(entry)  # no line of this class: the union as it is
+                first = 1
+            for k in range(first, min(len(lines), high - size) + 1):
                 grown.append((union + lines[:k], reach | masks[k], total + k * gain))
         unions = grown
     return unions
@@ -268,7 +290,8 @@ class _Searcher:
         has a use left.  A dead child (one that would leave a line with no
         use left and an uncovered cell) is never built; a child that fails
         the counting bound is counted as a ``counting`` prune and never
-        built either (module docstring)."""
+        built either, and a thin side whose every child would fail it is
+        one ``thin_side`` prune (module docstring)."""
         n, m, thin_cap = self.n, self.m, self.p - 1
         last = m - 1
         mask, shift, cap = self.mask, self.shift, self.cap
@@ -300,7 +323,7 @@ class _Searcher:
                         cls[1].append(cls[1][-1] | mask[x])
             sides.append(list(side.values()))
         rows, cols = (r0, sides[0]), (c0, sides[1])
-        found, failed = [], 0
+        found, failed, thin_sides = [], 0, 0
         # Rows are the thin side (at most p-1 of them, any columns), then
         # columns are (at most p-1 of them, under at least p rows).  Once
         # the thin side is fixed, its lines on their last use must be
@@ -314,6 +337,8 @@ class _Searcher:
         # gains new cells where it meets the thin side, the same number
         # on every line of a class, so a wide class's cap change per line
         # is fixed with the thin side and summed along with its prefixes.
+        # Before any wide side is drawn, the thin side is refuted whole if
+        # even its best wide side would fail (module docstring).
         #
         # Every candidate on the empty grid is some [0, a) x [0, b), and
         # transposing maps the empty grid to itself, so a <= b suffices
@@ -322,20 +347,34 @@ class _Searcher:
         for thin, wide, low in orientations:
             thin_first, thin_classes = thin
             wide_first, wide_classes = wide
-            # the wide side's first line joins every candidate
-            first_left = uncov & mask[wide_first] if used[wide_first] == last else 0
-            for extra, extra_spans, _ in _prefixes(thin_classes, 0, thin_cap - 1):
-                thin_lines = (thin_first,) + extra
-                spans = mask[thin_first] | extra_spans
-                if first_left & ~spans:
-                    continue
+            # the wide side's first line joins every candidate; on its last
+            # use the thin side must span its uncovered cells, so every thin
+            # class meeting them joins at full length
+            head, head_spans, free_thin = (thin_first,), mask[thin_first], thin_classes
+            if used[wide_first] == last:
+                first_left = uncov & mask[wide_first]
+                free_thin = []
+                for cls in thin_classes:
+                    if first_left & cls[1][1]:
+                        head += cls[0]
+                        head_spans |= cls[1][-1]
+                    else:
+                        free_thin.append(cls)
+            for extra, extra_spans, _ in _prefixes(free_thin, 0, thin_cap - len(head)):
+                thin_lines = head + extra
+                spans = head_spans | extra_spans
                 # a thin line's new cells depend on the wide side: kept as
-                # (its cells, its cap_L by u_L after this use, u_L, cap_L)
-                must, thin_counts = 0, []
+                # (its cells, its cap_L by u_L after this use, u_L, cap_L).
+                # thin_best is the most their cap_L can rise in all: after
+                # this use a line's cap_L is at most s, its uses left, and
+                # is s with one uncovered cell left, or 0 with none left
+                must, thin_counts, thin_best = 0, [], 0
                 for x in thin_lines:
-                    if used[x] == last:
+                    s, u = last - used[x], counts[x]
+                    if not s:
                         must |= uncov & mask[x]
-                    thin_counts.append((mask[x], cap[m - used[x] - 1], counts[x], caps[x]))
+                    thin_counts.append((mask[x], cap[s], u, caps[x]))
+                    thin_best += (s if u > 1 else 0) - caps[x]
                 live = uncov & spans
                 y = wide_first
                 forced = (y,)
@@ -359,6 +398,14 @@ class _Searcher:
                     else:
                         free.append((lines, masks, line_gain))
                 else:
+                    # the best any wide side can do: the forced lines as
+                    # they are, the thin lines at their best, and nothing
+                    # from a free wide line, which brings at most p-1 new
+                    # cells and loses at least 1 of cap_L
+                    forced_new = (live & reach).bit_count()
+                    if not within_bound(left - forced_new, total + gain + thin_best):
+                        thin_sides += 1
+                        continue
                     wide_low = low + 1 - len(forced)
                     for wide_extra, extra_reach, extra_gain in _prefixes(free, wide_low, n + 1 - len(forced)):
                         wide_cells = reach | extra_reach
@@ -383,6 +430,8 @@ class _Searcher:
                             found.append((*cand, spans & wide_cells, total + child_gain))
         if failed:
             self.prunes["counting"] += failed
+        if thin_sides:
+            self.prunes["thin_side"] += thin_sides
         found.sort(key=lambda cand: (
             min(len(cand[0]), len(cand[1])), -len(cand[0]) * len(cand[1]), cand[0], cand[1]
         ))

@@ -422,15 +422,16 @@ def canonical(rect, n, covered, used):
     return squeeze(rows, row_key), squeeze(cols, col_key)
 
 
-def walk_states(seed, count, n_max):
+def walk_states(seed, count, ns, ms=range(1, 4), ps=range(2, 5)):
     """States (n, m, p, covered, used) along random walks through the cover
-    space, each step a random live rectangle; a new walk starts while fewer
-    than ``count`` states have been given.  ``used`` counts each line's
-    uses: the rows are lines 0..n-1, the columns lines n..2n-1."""
+    space, each step a random live rectangle; a new walk starts, on a cell
+    drawn from ``ns`` x ``ms`` x ``ps``, while fewer than ``count`` states
+    have been given.  ``used`` counts each line's uses: the rows are lines
+    0..n-1, the columns lines n..2n-1."""
     rng = random.Random(seed)
     states = 0
     while states < count:
-        n, m, p = rng.randint(2, n_max), rng.randint(1, 3), rng.randint(2, 4)
+        n, m, p = rng.choice(ns), rng.choice(ms), rng.choice(ps)
         covered, used = 0, [0] * (2 * n)
         while covered != (1 << (n * n)) - 1:
             yield n, m, p, covered, list(used)
@@ -453,7 +454,7 @@ def test_candidates_match_brute_force_up_to_symmetry(monkeypatch):
     # rectangles, sorted thin side first, then by area, and never build (or
     # count) a dead one
     monkeypatch.setattr(_Searcher, "within_bound", lambda self, *counts: True)
-    for n, m, p, covered, used in walk_states(20240601, 300, 5):
+    for n, m, p, covered, used in walk_states(20240601, 300, range(2, 6)):
         searcher = _Searcher(n, m, p, None, None)
         got = searcher.candidates(covered, searcher.load(covered, used))
         ref = reference_candidates(n, m, p, covered, used)
@@ -466,36 +467,62 @@ def test_candidates_match_brute_force_up_to_symmetry(monkeypatch):
         assert not searcher.prunes
 
 
+def bounded_and_filtered(n, m, p, covered, used):
+    """(searcher, got, every, kept) at the state: ``got`` is what the
+    searcher's ``candidates`` returns with the bound on, ``every`` what it
+    returns with the bound off, and ``kept`` the children of ``every``
+    whose from-scratch count (``line_counts``) passes the bound, each with
+    that count's sum of cap_L."""
+    searcher = _Searcher(n, m, p, None, None)
+    got = searcher.candidates(covered, searcher.load(covered, used))
+    unbounded = _Searcher(n, m, p, None, None)
+    unbounded.within_bound = lambda *counts: True
+    every = unbounded.candidates(covered, unbounded.load(covered, used))
+    kept = []
+    for rows, cols, cell_mask, _ in every:
+        child_used = list(used)
+        for x in rows + cols:
+            child_used[x] += 1
+        child_covered = covered | cell_mask
+        _, _, child_total = line_counts(n, m, p, child_covered, child_used)
+        holes = n * n - bin(child_covered).count("1")
+        if searcher.within_bound(holes, child_total):
+            kept.append((rows, cols, cell_mask, child_total))
+    return searcher, got, every, kept
+
+
 def test_candidates_drop_exactly_the_children_failing_the_bound():
     # with the bound on, the generator returns the bound-off list, in the
-    # same order, less each child whose from-scratch count fails the bound;
-    # each of those is one counting prune, and each child kept carries its
-    # sum of cap_L
+    # same order, less each child whose from-scratch count fails the bound,
+    # and each child kept carries its sum of cap_L.  Each failing child is
+    # one counting prune, unless the thin side it was drawn under was
+    # refuted whole first: that is one thin_side prune for all its children
     dropped = 0
-    for n, m, p, covered, used in walk_states(20240605, 400, 5):
-        searcher = _Searcher(n, m, p, None, None)
-        got = searcher.candidates(covered, searcher.load(covered, used))
-        unbounded = _Searcher(n, m, p, None, None)
-        unbounded.within_bound = lambda *counts: True
-        every = unbounded.candidates(covered, unbounded.load(covered, used))
-        kept = []
-        for rows, cols, cell_mask, _ in every:
-            child_used = list(used)
-            for x in rows + cols:
-                child_used[x] += 1
-            child_covered = covered | cell_mask
-            _, _, child_total = line_counts(n, m, p, child_covered, child_used)
-            holes = n * n - bin(child_covered).count("1")
-            if searcher.within_bound(holes, child_total):
-                kept.append((rows, cols, cell_mask, child_total))
+    for n, m, p, covered, used in walk_states(20240605, 400, range(2, 6)):
+        searcher, got, every, kept = bounded_and_filtered(n, m, p, covered, used)
         state = (n, m, p, covered, used)
         assert got == kept, state
         failing = len(every) - len(kept)
-        assert searcher.prunes == ({"counting": failing} if failing else {}), state
+        counting, thin_sides = searcher.prunes["counting"], searcher.prunes["thin_side"]
+        assert set(searcher.prunes) <= {"counting", "thin_side"}, state
+        assert counting <= failing and (counting == failing or thin_sides), state
         assert searcher.nodes == 0
         dropped += failing
     # the bound rejects children often enough for this to test it
     assert dropped >= 200
+
+
+def test_thin_side_cut_drops_only_failing_children():
+    # on grids of 6 to 8 lines with p = 3 or 4, where a thin side holds up
+    # to three lines, a whole thin side is cut often; the list must still
+    # be exactly the bound-off list less the children whose from-scratch
+    # count fails the bound
+    fired = 0
+    for n, m, p, covered, used in walk_states(20240608, 80, range(6, 9), range(2, 5), range(3, 5)):
+        searcher, got, _, kept = bounded_and_filtered(n, m, p, covered, used)
+        assert got == kept, (n, m, p, covered, used)
+        fired += searcher.prunes["thin_side"]
+    assert fired >= 70
 
 
 def test_prefixes_match_product_definition():
@@ -531,8 +558,8 @@ def test_prefixes_match_product_definition():
 @pytest.mark.parametrize(
     "cell, nodes, prunes",
     [
-        ((6, 4, 2), 6427, {"counting": 11535, "no_candidates": 3137}),
-        ((7, 3, 3), 286, {"counting": 1562, "no_candidates": 199}),
+        ((6, 4, 2), 6427, {"counting": 7326, "thin_side": 3613, "no_candidates": 3137}),
+        ((7, 3, 3), 286, {"counting": 510, "thin_side": 437, "no_candidates": 199}),
     ],
     ids=["6,4,2", "7,3,3"],
 )
@@ -600,7 +627,7 @@ def test_counting_bound_prunes_only_dead_states():
     # at every state the bound rejects, the search with the bound off must
     # find no completion
     fired = 0
-    for n, m, p, covered, used in walk_states(20240602, 400, 4):
+    for n, m, p, covered, used in walk_states(20240602, 400, range(2, 5)):
         if bound_fires(n, m, p, covered, used):
             fired += covered != 0
             unbounded = _Searcher(n, m, p, None, None)
