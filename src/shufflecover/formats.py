@@ -218,19 +218,23 @@ violation_to_obj = witness_to_obj = _tagged_to_obj
 
 
 def load_instance(text: str):
-    """Parse matrix text or any of the JSON formats, deciding by content.
+    """Parse matrix text or any of the JSON formats, deciding by content:
+    input whose first non-blank character is ``{`` or ``[`` is JSON, and
+    must decode to an object.
 
     Returns a ColorMatrix, RectangleCover, KPartiteCover, or CliqueFamily.
     """
     stripped = text.lstrip()
     if not stripped:
         raise FormatError("empty input")
-    if stripped[0] != "{":
+    if stripped[0] not in "{[":
         return parse_matrix(text)
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise FormatError("JSON input must be an object: a cover, k-partite cover, or clique family")
     if "rectangles" in obj:
         return cover_from_obj(obj)
     if "pairs" in obj:

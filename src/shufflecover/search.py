@@ -35,12 +35,11 @@ lines leaves a cover).  On top of that:
   a wide class that meets an uncovered cell of a thin line on its last use
   is forced in at full length, and the thin side is given up when a forced
   class cannot join.  Dead children are not counted as nodes.
-* Counting bound, the guarantee theorem's own argument, checked at the
-  root on entry and on every other state as it is generated.  Let t = p-1
-  and U the uncovered
-  cells; an open line L (one with an uncovered cell) has u_L of them and
-  s_L = m - used_L uses left, and cap_L = s_L - [u_L > t*s_L].  No
-  completion exists when |U| > t * sum(cap_L over open L).  Proof: shrink a
+* Counting bound, the guarantee theorem's own argument, checked on every
+  state as it is generated.  Let t = p-1 and U the uncovered cells; an
+  open line L (one with an uncovered cell) has u_L of them and s_L =
+  m - used_L uses left, and cap_L = s_L - [u_L > t*s_L].  No completion
+  exists when |U| > t * sum(cap_L over open L).  Proof: shrink a
   completion so that its rectangles touch only open lines.  Call a
   rectangle row-thin if it has at most t rows, else column-thin, and charge
   each cell of U to one rectangle covering it: to that rectangle's column
@@ -49,25 +48,28 @@ lines leaves a cover).  On top of that:
   u_L > t*s_L, some rectangle through L has L on its thin side and charges
   nothing to L, so at most s_L - 1 rectangles charge L.  On the empty grid
   the bound fires exactly when n > 2(p-1)(m-1) and p <= n: the paper's
-  theorem.  A rectangle changes u_L and s_L only on its own lines, so a
-  child's |U| and sum(cap_L) follow from its parent's by the change on
-  those lines.  Once the thin side is fixed, every line of a wide class
-  gains the same new cells and the same cap change, so a wide prefix
-  carries its change as a running sum, class by class, and each thin line
-  costs one popcount per child.  A child that fails is one ``counting``
-  prune and is never built, sorted or entered; a root that fails is one
-  node and one ``counting`` prune.  Before its wide sides are drawn, a
-  whole thin side is refuted, as one ``thin_side`` prune, when no wide
-  side can pass: when even the most |new| + t * (the change of sum(cap_L))
-  could be is too little.  That most is the forced wide lines' part,
-  exact, plus t times each thin line's best cap change: after its use its
-  cap_L is at most s, its uses left, reached with one uncovered cell left,
-  or 0 if it had one cell.  No free wide line adds to it: it brings at
-  most t new cells, one per thin line, and loses at least 1 of cap_L,
-  since s_L falls by 1 and u_L by at most t, so [u_L > t*s_L] cannot fall
-  from 1 to 0 (a line covered in full goes from cap_L >= 1 to 0); so it
-  adds at most t - t = 0.  The parent hands its per-line counts down: it
-  updates u_L and cap_L on the rectangle's lines before entering the
+  theorem, which :func:`search_avoiding` decides at the root, so the
+  depth-first search is handed only roots that pass.  A rectangle changes
+  u_L and s_L only on its own lines, so a child's |U| and sum(cap_L)
+  follow from its parent's by the change on those lines.  Once the thin
+  side is fixed, every line of a wide class gains the same new cells and
+  the same cap change, so a wide prefix carries its change as a running
+  sum, class by class, and each thin line costs one popcount per child.  A
+  child that fails is one ``counting`` prune and is never built, sorted or
+  entered.  Before its wide sides are drawn, a whole thin side is refuted,
+  as one ``thin_side`` prune, when no wide side can pass: when even the
+  most |new| + t * (the change of sum(cap_L)) could be is too little.  That
+  most is the forced wide lines' part, exact, plus t times each thin line's
+  best cap change: after its use its cap_L is at most s, its uses left,
+  reached with one uncovered cell left, or 0 if it had one cell.  No free
+  wide line adds to it: it brings at most t new cells, one per thin line,
+  and loses at least 1 of cap_L, since s_L falls by 1 and u_L by at most t,
+  so [u_L > t*s_L] cannot fall from 1 to 0 (a line covered in full goes
+  from cap_L >= 1 to 0); so it adds at most t - t = 0.  The same holds for
+  a forced wide line, and a thin line's best cap change is at most 0, so a
+  state that fails the bound has no child that passes it: the search need
+  not check the state it enters.  The parent hands its per-line counts down:
+  it updates u_L and cap_L on the rectangle's lines before entering the
   child, and restores them after.
 * Symmetry is broken (after Crawford, Ginsberg, Luks & Roy, KR 1996).
   Two open lines with the same uncovered cells and the same use count are
@@ -146,14 +148,15 @@ class SearchStats:
     counted; a cell the theorems decide is 1 node (:func:`search_avoiding`),
     and a search whose set-up runs out of time is 0.
     ``prunes`` maps a reason to how often it fired: ``counting`` (a
-    generated child fails the counting bound, or the root does, as on every
-    guaranteed cell; on a SAT cell this also counts the failing siblings
-    generated after the winning branch), ``thin_side`` (a candidate thin
-    side none of whose wide sides can pass the counting bound, refuted
-    before they are generated; its children are not counted as ``counting``
-    prunes), ``no_candidates`` (no live rectangle through the first
-    uncovered cell leaves a child that passes the bound), ``abort_timeout``
-    and ``abort_nodes`` (a budget ran out; the verdict is INCONCLUSIVE).
+    generated child fails the counting bound; a guaranteed cell, which
+    :func:`search_avoiding` refutes at the root, is one; on a SAT cell this
+    also counts the failing siblings generated after the winning branch),
+    ``thin_side`` (a candidate thin side none of whose wide sides can pass
+    the counting bound, refuted before they are generated; its children
+    are not counted as ``counting`` prunes), ``no_candidates`` (no live
+    rectangle through the first uncovered cell leaves a child that passes
+    the bound), ``abort_timeout`` and ``abort_nodes`` (a budget ran out;
+    the verdict is INCONCLUSIVE).
     ``millis`` is the wall-clock time of the search.
     """
 
@@ -246,8 +249,13 @@ class _Searcher:
         self.full = (1 << (n * n)) - 1
         # Lines 0..n-1 are the rows and n..2n-1 the columns; shifting a
         # line's cells down by shift[x] aligns it with the rest of its side.
-        # column 0 is the sum of 2^(r*n) over the rows, (2^(n*n) - 1) / (2^n - 1)
-        column = ((1 << n * n) - 1) // ((1 << n) - 1)
+        # column 0 is the sum of 2^(r*n) over the rows, built by doubling the
+        # rows it holds: a division of n^2-bit numbers is slower than linear
+        column, rows = 1, 1
+        while rows < n:
+            column |= column << rows * n
+            rows *= 2
+        column &= self.full
         # the 2n masks of n^2 bits take time and memory in n^3, so set-up
         # checks the deadline once per line, as the search does per node
         self.mask = [((1 << n) - 1) << (r * n) for r in _until(deadline, range(n))]
@@ -455,9 +463,12 @@ class _Searcher:
         chosen: list[tuple[tuple[int, ...], tuple[int, ...]]],
     ) -> bool:
         """Search on from a state whose per-line ``used``, ``counts`` and
-        ``caps`` are on ``self``, with ``total`` the sum of its caps.  Only
-        the root can fail the counting bound here: every child is checked
-        when it is generated."""
+        ``caps`` are on ``self``, with ``total`` the sum of its caps.  The
+        counting bound is checked on the children as they are generated,
+        not on the state entered: a state that fails it has no child that
+        passes, so it is one node and one ``no_candidates`` prune, and
+        :func:`search_avoiding` hands over only roots where the guarantee
+        theorem is silent."""
         self.nodes += 1
         if self.node_limit is not None and self.nodes > self.node_limit:
             raise _Abort("nodes")
@@ -467,9 +478,6 @@ class _Searcher:
             self.witness = list(chosen)
             return True
         uncov = ~covered & self.full
-        if not self.within_bound(uncov.bit_count(), total):
-            self.prunes["counting"] += 1
-            return False
         used, counts, caps = self.used, self.counts, self.caps
         cands = self.candidates(covered, total)
         if not cands:
@@ -527,7 +535,8 @@ def search_avoiding(params: SearchParams, *, certificate: bool = True) -> Search
     n, m, p = params.n, params.m, params.p
     witness = None
     if p <= guaranteed_p(n, m):
-        # what the root's counting bound gives: the guarantee theorem
+        # the counting bound on the empty grid, the guarantee theorem: the
+        # one place it is decided, so the DFS never sees such a root
         verdict, nodes, prunes = UNSAT, 1, {"counting": 1}
     elif p == 2:
         # n = 1 or n <= 2m-2: the block-circulant cover answers at the root

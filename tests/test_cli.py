@@ -340,6 +340,8 @@ BAD_INPUTS = [
         ["validate"],
         "bad rectangle: rectangle sides must be nonempty",
     ),
+    # input that opens with [ is JSON, not matrix text, and must be an object
+    ([], ["validate"], "JSON input must be an object: a cover, k-partite cover, or clique family"),
 ]
 
 

@@ -320,6 +320,15 @@ def test_load_instance_rejects_unknown(text):
         load_instance(text)
 
 
+@pytest.mark.parametrize("text", ["[]", " [1, 2]", '["rectangles"]', "[", "[{}]"])
+def test_load_instance_reads_a_bracket_as_json(text):
+    # input that opens with [ is JSON, not matrix text, and JSON input must
+    # be an object
+    with pytest.raises(FormatError, match="JSON") as err:
+        load_instance(text)
+    assert "matrix" not in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # the bulk rectangle-list check against the per-rectangle path
 

@@ -14,6 +14,7 @@ so the tests that pin the DFS's order, verdicts or budgets drive
 import hashlib
 import operator
 import random
+import time
 from collections import Counter
 from itertools import combinations, product
 
@@ -199,6 +200,17 @@ def test_setup_stops_at_the_deadline(monkeypatch):
         assert out.stats.prunes == {"abort_timeout": 1}, k
         # the start, k checks in time, the one that stops, and the end
         assert len(calls) == k + 3, k
+
+
+def test_large_grid_setup_stops_at_the_deadline():
+    # (12000, 8000, 3) goes to the DFS, whose set-up builds line masks of
+    # 144,000,000 bits; column 0 is built by doubling, in time about
+    # linear in its size, so the set-up reaches its first deadline check
+    # early and the search stops there, before any state is entered
+    start = time.monotonic()
+    out = run(12000, 8000, 3, timeout=0.01)
+    assert time.monotonic() - start < 1
+    assert (out.verdict, out.stats.nodes, out.stats.prunes) == (INCONCLUSIVE, 0, {"abort_timeout": 1})
 
 
 def test_sat_verdicts_monotone_in_m():
@@ -585,17 +597,17 @@ def test_stats_record_prune_reasons():
 
 
 def bound_fires(n, m, p, covered, used):
-    """Whether the search, started at (covered, used), prunes that state by
-    the counting bound.  No child is generated."""
+    """Whether the state (covered, used), counted from scratch, fails the
+    counting bound."""
     searcher = _Searcher(n, m, p, None, None)
-    searcher.candidates = lambda *state: []
-    assert not searcher.search(covered, used)
-    return searcher.prunes == {"counting": 1}
+    uncovered = n * n - bin(covered).count("1")
+    return not searcher.within_bound(uncovered, searcher.load(covered, used))
 
 
 def test_counting_bound_at_root_is_the_theorem():
     # on the empty grid the bound is the guarantee theorem, cell for cell,
-    # and the search refutes each guaranteed cell there, in one node
+    # and search_avoiding refutes each guaranteed cell at the root, in one
+    # node
     cells = refuted = 0
     for n in range(1, 25):
         for m in range(1, n + 2):
@@ -610,6 +622,22 @@ def test_counting_bound_at_root_is_the_theorem():
                     refuted += 1
     assert cells == 5524
     assert refuted == sum(guaranteed_p(n, m) for n in range(1, 25) for m in range(1, n + 2))
+
+
+def test_dfs_refutes_a_state_failing_the_bound_in_one_node():
+    # the DFS does not check the bound on the state it enters, only on the
+    # children it generates; a state that fails it has no child that
+    # passes (a wide line brings at most p-1 new cells and loses at least
+    # 1 of cap_L), so a guaranteed cell driven through the DFS is still
+    # refuted in one node, with no candidate at the root
+    for n in range(1, 13):
+        for m in range(1, n + 2):
+            for p in range(1, guaranteed_p(n, m) + 1):
+                out = run_dfs(n, m, p)
+                assert (out.verdict, out.stats.nodes) == (UNSAT, 1), (n, m, p)
+                assert out.stats.prunes["no_candidates"] == 1, (n, m, p)
+                assert set(out.stats.prunes) <= {"counting", "thin_side", "no_candidates"}
+    assert run_dfs(6, 2, 3).stats.prunes == {"thin_side": 2, "no_candidates": 1}
 
 
 def test_n5_verdicts_without_counting_bound(monkeypatch):
@@ -630,6 +658,9 @@ def test_counting_bound_prunes_only_dead_states():
     for n, m, p, covered, used in walk_states(20240602, 400, range(2, 5)):
         if bound_fires(n, m, p, covered, used):
             fired += covered != 0
+            bounded = _Searcher(n, m, p, None, None)
+            assert not bounded.search(covered, used), (n, m, p, covered, used)
+            assert bounded.nodes == 1, (n, m, p, covered, used)
             unbounded = _Searcher(n, m, p, None, None)
             unbounded.within_bound = lambda *counts: True
             assert not unbounded.search(covered, used), (n, m, p, covered, used)
