@@ -71,6 +71,18 @@ lines leaves a cover).  On top of that:
   not check the state it enters.  The parent hands its per-line counts down:
   it updates u_L and cap_L on the rectangle's lines before entering the
   child, and restores them after.
+* Closed branching cells: the thin-side bound rules out a whole child on
+  its branching cell (its first uncovered cell) alone.  When that cell's
+  row and column both have one use left in the child, and each keeps more
+  than p-1 uncovered cells, the one rectangle through the cell is the last
+  on both lines, so it must hold all of their uncovered cells: both of its
+  sides exceed p-1, and the child has no candidate.  The parent tests this
+  on each child before it updates the per-line counts, and skips a child
+  that fails: it is not entered and not counted as a node, but is one
+  ``no_candidates`` prune, the one it would have recorded itself, so
+  verdicts, witnesses and prune tallies are as if it were entered.  Only
+  the branching cell is checked: testing every pair of lines on their last
+  use costs O(n) per child and moves the prune tallies.
 * Symmetry is broken (after Crawford, Ginsberg, Luks & Roy, KR 1996).
   Two open lines with the same uncovered cells and the same use count are
   interchangeable: swapping them maps the state to itself, so from each
@@ -82,18 +94,18 @@ Verdicts are SAT (with a certificate cover), UNSAT (refuted at the root, or
 the search space exhausted), or INCONCLUSIVE (a budget hit; never UNSAT).
 
 A node is a state entered: the root and every child that passed the
-counting bound; a cell answered at the root is 1 node.  Practical
-envelope, measured with ``bench/run.py`` in reference seconds (see
-bench/README.md): every guaranteed cell is refuted at the root, in 1
-node, so the 150 cells of ``table --n-max 5`` take 401 nodes in all.
-All 8 ``hot_cells`` cells are decided in 293 nodes, about 0.011 s for
-the whole pass; all but (7,3,3), SAT in 286 nodes, are decided at the
-root.  ``threshold_table(7)`` decides all 392 cells with n <= 7 in 1,695
-nodes and about 0.07 raw seconds on a 2-core VM; it builds none of the
-309 SAT certificates, which ``search_avoiding`` on the same cells would
-add about 0.03 s for.  The DFS alone, run on every cell, takes 26,118
-nodes there.  (10,4,3) is SAT in 13,305 nodes, 0.5-0.8 raw seconds, of
-which 9,924 nodes find no child.
+counting bound and was not skipped on a closed branching cell; a cell
+answered at the root is 1 node.  Practical envelope, measured with
+``bench/run.py`` in reference seconds (see bench/README.md): every
+guaranteed cell is refuted at the root, in 1 node, so the 150 cells of
+``table --n-max 5`` take 401 nodes in all.  All 8 ``hot_cells`` cells are
+decided in 155 nodes, about 0.009 s for the whole pass; all but (7,3,3),
+SAT in 148 nodes, are decided at the root.  ``threshold_table(7)``
+decides all 392 cells with n <= 7 in 1,557 nodes and about 0.1 raw
+seconds on a 2-core VM; it builds none of the 309 SAT certificates.  The
+DFS alone, run on every cell, takes 22,979 nodes there.  (10,4,3) is SAT
+in 5,966 nodes, 0.45-0.65 raw seconds; 9,924 ``no_candidates`` prunes
+fire on it, 7,339 of them on children skipped unentered.
 """
 
 from __future__ import annotations
@@ -143,20 +155,22 @@ class SearchParams:
 class SearchStats:
     """Work done by one search.
 
-    ``nodes`` counts every state entered, the root included; dead children
-    and children that fail the counting bound are never built and not
-    counted; a cell the theorems decide is 1 node (:func:`search_avoiding`),
-    and a search whose set-up runs out of time is 0.
+    ``nodes`` counts every state entered, the root included; dead children,
+    children that fail the counting bound and children skipped on a closed
+    branching cell (module docstring) are never entered and not counted; a
+    cell the theorems decide is 1 node (:func:`search_avoiding`), and a
+    search whose set-up runs out of time is 0.
     ``prunes`` maps a reason to how often it fired: ``counting`` (a
-    generated child fails the counting bound; a guaranteed cell, which
-    :func:`search_avoiding` refutes at the root, is one; on a SAT cell this
-    also counts the failing siblings generated after the winning branch),
+    generated child fails the counting bound; on a SAT cell this also
+    counts the failing siblings generated after the winning branch),
     ``thin_side`` (a candidate thin side none of whose wide sides can pass
     the counting bound, refuted before they are generated; its children
     are not counted as ``counting`` prunes), ``no_candidates`` (no live
     rectangle through the first uncovered cell leaves a child that passes
-    the bound), ``abort_timeout`` and ``abort_nodes`` (a budget ran out;
-    the verdict is INCONCLUSIVE).
+    the bound, counted on a state entered and on each child its parent
+    skips on a closed branching cell), ``abort_timeout`` and
+    ``abort_nodes`` (a budget ran out; the verdict is INCONCLUSIVE).  A
+    cell the theorems decide records no prune.
     ``millis`` is the wall-clock time of the search.
     """
 
@@ -246,18 +260,18 @@ class _Searcher:
         self.n = n
         self.m = m
         self.p = p
-        self.full = (1 << (n * n)) - 1
         # Lines 0..n-1 are the rows and n..2n-1 the columns; shifting a
         # line's cells down by shift[x] aligns it with the rest of its side.
         # column 0 is the sum of 2^(r*n) over the rows, built by doubling the
-        # rows it holds: a division of n^2-bit numbers is slower than linear
-        column, rows = 1, 1
-        while rows < n:
-            column |= column << rows * n
-            rows *= 2
-        column &= self.full
-        # the 2n masks of n^2 bits take time and memory in n^3, so set-up
-        # checks the deadline once per line, as the search does per node
+        # rows it holds, never past row n-1: a division of n^2-bit numbers
+        # is slower than linear.  Each doubling, and each of the 2n line
+        # masks (time and memory in n^3), is checked against the deadline,
+        # as the search checks each node
+        column = 1
+        for k in _until(deadline, range((n - 1).bit_length())):
+            # column holds rows 0..2^k-1
+            column |= column << min(1 << k, n - (1 << k)) * n
+        self.full = (1 << (n * n)) - 1
         self.mask = [((1 << n) - 1) << (r * n) for r in _until(deadline, range(n))]
         self.mask += [column << c for c in _until(deadline, range(n))]
         self.shift = [r * n for r in range(n)] + list(range(n))
@@ -468,7 +482,10 @@ class _Searcher:
         not on the state entered: a state that fails it has no child that
         passes, so it is one node and one ``no_candidates`` prune, and
         :func:`search_avoiding` hands over only roots where the guarantee
-        theorem is silent."""
+        theorem is silent.  ``nodes`` counts the states entered; a child
+        whose branching cell is closed (module docstring) is skipped
+        unentered and counted as the ``no_candidates`` prune it would
+        record."""
         self.nodes += 1
         if self.node_limit is not None and self.nodes > self.node_limit:
             raise _Abort("nodes")
@@ -482,8 +499,24 @@ class _Searcher:
         cands = self.candidates(covered, total)
         if not cands:
             self.prunes["no_candidates"] += 1
-        m, cap, mask = self.m, self.cap, self.mask
+        n, m, cap, mask = self.n, self.m, self.cap, self.mask
+        last, thin_cap = m - 1, self.p - 1
         for rows, cols, cell_mask, child_total in cands:
+            # the child branches on the first cell of rest; when its row and
+            # its column both get their last use there, each with more than
+            # p-1 cells left, the child has no candidate (module docstring)
+            rest = uncov & ~cell_mask
+            r, c = divmod((rest & -rest).bit_length() - 1, n)
+            c += n
+            if (
+                rest
+                and used[r] + (r in rows) == last
+                and used[c] + (c in cols) == last
+                and (rest & mask[r]).bit_count() > thin_cap
+                and (rest & mask[c]).bit_count() > thin_cap
+            ):
+                self.prunes["no_candidates"] += 1
+                continue
             # only the lines of the rectangle change
             lines = rows + cols
             new = uncov & cell_mask
@@ -537,7 +570,7 @@ def search_avoiding(params: SearchParams, *, certificate: bool = True) -> Search
     if p <= guaranteed_p(n, m):
         # the counting bound on the empty grid, the guarantee theorem: the
         # one place it is decided, so the DFS never sees such a root
-        verdict, nodes, prunes = UNSAT, 1, {"counting": 1}
+        verdict, nodes, prunes = UNSAT, 1, {}
     elif p == 2:
         # n = 1 or n <= 2m-2: the block-circulant cover answers at the root
         verdict, nodes, prunes = SAT, 1, {}

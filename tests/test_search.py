@@ -29,6 +29,7 @@ from shufflecover import (
     TableRow,
     avoidance_threshold,
     check_coverage,
+    cover_to_obj,
     find_mono_biclique_brute,
     find_mono_biclique_fast,
     guaranteed_p,
@@ -163,7 +164,7 @@ def test_deterministic_single_worker():
 
 
 def test_node_limit_gives_inconclusive():
-    # (7,3,3) is SAT after 286 nodes
+    # (7,3,3) is SAT after 148 nodes
     out = run(7, 3, 3, node_limit=5)
     assert out.verdict == INCONCLUSIVE
     assert out.witness is None
@@ -171,20 +172,21 @@ def test_node_limit_gives_inconclusive():
 
 
 def test_timeout_gives_inconclusive():
-    # (10,4,3) is SAT only after 13,305 nodes, about 1.3 s
+    # (10,4,3) is SAT only after 5,966 nodes, about 0.5 s
     out = run(10, 4, 3, timeout=0.001)
     assert out.verdict == INCONCLUSIVE
     assert out.stats.prunes["abort_timeout"] == 1
 
 
 def test_setup_stops_at_the_deadline(monkeypatch):
-    # the search's set-up checks the deadline once per line: the 2n line
-    # masks, then the m+1 rows of the cap table.  A clock that passes the
-    # deadline after k of those checks stops the set-up at the next one,
-    # before any state is entered; once every check is in time, the root's
-    # own check stops the search at 1 node
+    # the search's set-up checks the deadline once per step: the 3 doublings
+    # that build column 0's 7 rows, the 2n line masks, then the m+1 rows of
+    # the cap table.  A clock that passes the deadline after k of those
+    # checks stops the set-up at the next one, before any state is entered;
+    # once every check is in time, the root's own check stops the search at
+    # 1 node
     n, m = 7, 3
-    setup_checks = 2 * n + m + 1
+    setup_checks = 3 + 2 * n + m + 1
     for k in (0, 1, n, 2 * n, setup_checks - 1, setup_checks):
         calls = []
 
@@ -205,12 +207,19 @@ def test_setup_stops_at_the_deadline(monkeypatch):
 def test_large_grid_setup_stops_at_the_deadline():
     # (12000, 8000, 3) goes to the DFS, whose set-up builds line masks of
     # 144,000,000 bits; column 0 is built by doubling, in time about
-    # linear in its size, so the set-up reaches its first deadline check
-    # early and the search stops there, before any state is entered
+    # linear in its size, and each doubling is checked against the deadline,
+    # so the search stops early, before any state is entered
     start = time.monotonic()
     out = run(12000, 8000, 3, timeout=0.01)
     assert time.monotonic() - start < 1
     assert (out.verdict, out.stats.nodes, out.stats.prunes) == (INCONCLUSIVE, 0, {"abort_timeout": 1})
+
+
+def test_column_mask_built_by_doubling():
+    # column 0 holds exactly the first cell of each of the n rows, however
+    # the doubling steps fall
+    for n in range(1, 90):
+        assert _Searcher(n, 1, 3, None, None).mask[n] == sum(1 << r * n for r in range(n)), n
 
 
 def test_sat_verdicts_monotone_in_m():
@@ -251,7 +260,7 @@ def test_k22_row_answered_at_the_root():
             out = run(n, m, 2)
             if not k22_avoidable(n, m):
                 assert out.verdict == UNSAT, (n, m)
-                assert (out.stats.nodes, out.stats.prunes) == (1, {"counting": 1}), (n, m)
+                assert (out.stats.nodes, out.stats.prunes) == (1, {}), (n, m)
                 continue
             assert out.verdict == SAT, (n, m)
             assert (out.stats.nodes, out.stats.prunes) == (1, {}), (n, m)
@@ -272,7 +281,7 @@ def test_budgets_bound_only_the_dfs():
     assert_certificate(out, 10, 7, 2)
     # so is the guaranteed cell (60,2,3), which builds no search state
     out = run(60, 2, 3, timeout=1e-9, node_limit=1)
-    assert (out.verdict, out.stats.nodes, out.stats.prunes) == (UNSAT, 1, {"counting": 1})
+    assert (out.verdict, out.stats.nodes, out.stats.prunes) == (UNSAT, 1, {})
 
 
 def test_decided_cells_build_no_searcher(monkeypatch):
@@ -289,7 +298,7 @@ def test_decided_cells_build_no_searcher(monkeypatch):
             for p in sorted({*range(1, bound + 1), 2}):
                 out = run(n, m, p)
                 if p <= bound:
-                    want, unsat = (UNSAT, 1, {"counting": 1}), unsat + 1
+                    want, unsat = (UNSAT, 1, {}), unsat + 1
                 else:
                     want, sat = (SAT, 1, {}), sat + 1
                 assert (out.verdict, out.stats.nodes, out.stats.prunes) == want, (n, m, p)
@@ -363,7 +372,7 @@ def test_n7_public_table_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3eb4eda6ae818467cfb1d69a62c8f517fa7a52f6a3de3c7164ffb84f5805c595"
     )
-    assert sum(row.nodes for row in rows) == 1695
+    assert sum(row.nodes for row in rows) == 1557
 
 
 def test_n5_verdict_table_pinned():
@@ -570,8 +579,8 @@ def test_prefixes_match_product_definition():
 @pytest.mark.parametrize(
     "cell, nodes, prunes",
     [
-        ((6, 4, 2), 6427, {"counting": 7326, "thin_side": 3613, "no_candidates": 3137}),
-        ((7, 3, 3), 286, {"counting": 510, "thin_side": 437, "no_candidates": 199}),
+        ((6, 4, 2), 5472, {"counting": 7326, "thin_side": 3613, "no_candidates": 3137}),
+        ((7, 3, 3), 148, {"counting": 510, "thin_side": 437, "no_candidates": 199}),
     ],
     ids=["6,4,2", "7,3,3"],
 )
@@ -591,7 +600,8 @@ def test_table_row_csv_shape():
 
 
 def test_stats_record_prune_reasons():
-    out = run(4, 2, 2)
+    # (4,2,3) goes to the DFS, which refutes one thin side
+    out = run(4, 2, 3)
     assert out.stats.millis >= 0
     assert sum(out.stats.prunes.values()) > 0
 
@@ -618,7 +628,7 @@ def test_counting_bound_at_root_is_the_theorem():
                 if fires:
                     out = run(n, m, p)
                     assert out.verdict == UNSAT, (n, m, p)
-                    assert (out.stats.nodes, out.stats.prunes) == (1, {"counting": 1}), (n, m, p)
+                    assert (out.stats.nodes, out.stats.prunes) == (1, {}), (n, m, p)
                     refuted += 1
     assert cells == 5524
     assert refuted == sum(guaranteed_p(n, m) for n in range(1, 25) for m in range(1, n + 2))
@@ -717,4 +727,71 @@ def test_handed_down_counts_match_recount():
     cells = [(n, m, p) for n in range(1, 6) for m in range(1, 6) for p in range(1, 7)]
     cells += [(6, 4, 2), (7, 3, 3)]
     nodes = [checked_search(*cell) for cell in cells]
-    assert nodes[-2:] == [6427, 286]
+    assert nodes[-2:] == [5472, 148]
+
+
+def branching_cell_closed(n, m, p, covered, used):
+    """Whether the first uncovered cell of the state lies on a row and a
+    column that both have one use left and each keep more than p-1
+    uncovered cells: the one rectangle through it would have to hold all of
+    both lines' uncovered cells, so no candidate exists.  A covered grid
+    has no such cell."""
+    holes = [(r, c) for r in range(n) for c in range(n) if not covered >> (r * n + c) & 1]
+    if not holes:
+        return False
+    r, c = holes[0]
+    row = sum(not covered >> (r * n + y) & 1 for y in range(n))
+    col = sum(not covered >> (x * n + c) & 1 for x in range(n))
+    return used[r] == m - 1 == used[n + c] and min(row, col) > p - 1
+
+
+def test_closed_branching_cell_has_no_candidates():
+    # a state whose own branching cell is closed this way gets no
+    # candidate, and no thin side or child is refuted on the way: the one
+    # no_candidates prune it would record is all a parent that skips it
+    # records in its place
+    fired = 0
+    for n, m, p, covered, used in walk_states(20240609, 400, range(5, 9), range(2, 5), range(2, 5)):
+        if branching_cell_closed(n, m, p, covered, used):
+            searcher = _Searcher(n, m, p, None, None)
+            assert searcher.candidates(covered, searcher.load(covered, used)) == []
+            assert not searcher.prunes, (n, m, p, covered, used)
+            fired += 1
+    assert fired >= 20
+
+
+def test_no_closed_branching_cell_is_entered():
+    # a parent skips each child whose branching cell is closed, so the
+    # search never enters such a state
+    for n, m, p in [(7, 3, 3), (9, 4, 3), (6, 4, 2)]:
+        searcher = _Searcher(n, m, p, None, None)
+
+        def dfs(covered, total, chosen):
+            assert not branching_cell_closed(n, m, p, covered, searcher.used), (n, m, p, chosen)
+            return _Searcher.dfs(searcher, covered, total, chosen)
+
+        searcher.dfs = dfs
+        assert searcher.search(0, [0] * (2 * n))
+
+
+def test_dfs_census_pinned():
+    # verdict, prune tallies and certificate of every cell that reaches the
+    # DFS with n <= 8 (p >= 3 above guaranteed_p), and of (9,4,3) and
+    # (10,4,3); a prune that only saves nodes leaves the digest as it is
+    cells = [
+        (n, m, p)
+        for n in range(1, 9)
+        for m in range(1, n + 2)
+        for p in range(3, n + 2)
+        if p > guaranteed_p(n, m)
+    ]
+    cells += [(9, 4, 3), (10, 4, 3)]
+    digest, nodes = hashlib.sha256(), 0
+    for cell in cells:
+        out = run(*cell)
+        nodes += out.stats.nodes
+        witness = cover_to_obj(out.witness) if out.witness else None
+        digest.update(repr((cell, out.verdict, sorted(out.stats.prunes.items()), witness)).encode())
+    assert len(cells) == 171
+    assert digest.hexdigest() == "93e7daf7cd55686b2adb6ec7787ae3fcb6448bc4664442cb925fbef4627875a5"
+    assert nodes == 8414
