@@ -38,39 +38,45 @@ lines leaves a cover).  On top of that:
 * Counting bound, the guarantee theorem's own argument, checked on every
   state as it is generated.  Let t = p-1 and U the uncovered cells; an
   open line L (one with an uncovered cell) has u_L of them and s_L =
-  m - used_L uses left, and cap_L = s_L - [u_L > t*s_L].  No completion
-  exists when |U| > t * sum(cap_L over open L).  Proof: shrink a
+  m - used_L uses left, cap_L = s_L - [u_L > t*s_L], and weight w_L =
+  min(u_L, t*cap_L): u_L when u_L <= t*s_L, else t*(s_L - 1).  No
+  completion exists when |U| > sum(w_L over open L).  Proof: shrink a
   completion so that its rectangles touch only open lines.  Call a
   rectangle row-thin if it has at most t rows, else column-thin, and charge
   each cell of U to one rectangle covering it: to that rectangle's column
   if it is row-thin, to its row if it is column-thin.  A rectangle takes at
-  most t charges on any line, so |U| <= t * sum(rectangles charging L).  If
-  u_L > t*s_L, some rectangle through L has L on its thin side and charges
-  nothing to L, so at most s_L - 1 rectangles charge L.  On the empty grid
-  the bound fires exactly when n > 2(p-1)(m-1) and p <= n: the paper's
-  theorem, which :func:`search_avoiding` decides at the root, so the
-  depth-first search is handed only roots that pass.  A rectangle changes
-  u_L and s_L only on its own lines, so a child's |U| and sum(cap_L)
-  follow from its parent's by the change on those lines.  Once the thin
-  side is fixed, every line of a wide class gains the same new cells and
-  the same cap change, so a wide prefix carries its change as a running
-  sum, class by class, and each thin line costs one popcount per child.  A
-  child that fails is one ``counting`` prune and is never built, sorted or
-  entered.  Before its wide sides are drawn, a whole thin side is refuted,
-  as one ``thin_side`` prune, when no wide side can pass: when even the
-  most |new| + t * (the change of sum(cap_L)) could be is too little.  That
-  most is the forced wide lines' part, exact, plus t times each thin line's
-  best cap change: after its use its cap_L is at most s, its uses left,
-  reached with one uncovered cell left, or 0 if it had one cell.  No free
-  wide line adds to it: it brings at most t new cells, one per thin line,
-  and loses at least 1 of cap_L, since s_L falls by 1 and u_L by at most t,
-  so [u_L > t*s_L] cannot fall from 1 to 0 (a line covered in full goes
-  from cap_L >= 1 to 0); so it adds at most t - t = 0.  The same holds for
-  a forced wide line, and a thin line's best cap change is at most 0, so a
+  most t charges on any line.  If u_L > t*s_L, some rectangle through L
+  has L on its thin side and charges nothing to L, so at most cap_L
+  rectangles charge L, and L takes at most t*cap_L charges.  Each charge
+  to L is one of its own u_L uncovered cells, so L takes at most w_L
+  charges, and |U| <= sum(w_L).  On the empty grid w_L = n when n <= t*m,
+  where the bound cannot fire, and t*(m-1) otherwise, so it fires exactly
+  when n > 2(p-1)(m-1) and p <= n: the paper's theorem, which
+  :func:`search_avoiding` decides at the root, so the depth-first search
+  is handed only roots that pass.  Deep in the tree the u_L term is the
+  sharper one: a line with few cells left may still have uses to spare.
+  A rectangle changes u_L and s_L only on its own lines, so a child's |U|
+  and sum(w_L) follow from its parent's by the change on those lines.
+  Once the thin side is fixed, every line of a wide class gains the same
+  new cells and the same weight change, so a wide prefix carries its
+  change as a running sum, class by class, and each thin line costs one
+  popcount per child.  A child that fails is one ``counting`` prune and
+  is never built, sorted or entered.  Before its wide sides are drawn, a
+  whole thin side is refuted, as one ``thin_side`` prune, when no wide
+  side can pass: when even the most |new| + (the change of sum(w_L))
+  could be is too little.  That most is the forced wide lines' part,
+  exact, plus each thin line's best weight change: after its use it has
+  at most u_L - 1 uncovered cells and s uses left, so its weight is at
+  most min(u_L - 1, t*s).  No free wide line adds to it: it brings k <= t
+  new cells, one per thin line, and its weight falls by at least k.  If
+  u_L <= t*s_L, w_L = u_L falls to at most u_L - k; otherwise u_L - k >
+  t*(s_L - 1), so w_L stays t*(uses left - 1) and falls by t.  The same
+  holds for a forced wide line.  A thin line's best weight change is at
+  most 0: min(u_L - 1, t*s) is below u_L and at most t*(s_L - 1).  So a
   state that fails the bound has no child that passes it: the search need
-  not check the state it enters.  The parent hands its per-line counts down:
-  it updates u_L and cap_L on the rectangle's lines before entering the
-  child, and restores them after.
+  not check the state it enters.  The parent hands its per-line counts
+  down: it updates u_L and w_L on the rectangle's lines before entering
+  the child, and restores them after.
 * Closed branching cells: the thin-side bound rules out a whole child on
   its branching cell (its first uncovered cell) alone.  When that cell's
   row and column both have one use left in the child, and each keeps more
@@ -99,13 +105,14 @@ answered at the root is 1 node.  Practical envelope, measured with
 ``bench/run.py`` in reference seconds (see bench/README.md): every
 guaranteed cell is refuted at the root, in 1 node, so the 150 cells of
 ``table --n-max 5`` take 401 nodes in all.  All 8 ``hot_cells`` cells are
-decided in 155 nodes, about 0.009 s for the whole pass; all but (7,3,3),
-SAT in 148 nodes, are decided at the root.  ``threshold_table(7)``
-decides all 392 cells with n <= 7 in 1,557 nodes and about 0.1 raw
+decided in 30 nodes, about 0.003 s for the whole pass; all but (7,3,3),
+SAT in 23 nodes, are decided at the root.  ``threshold_table(7)``
+decides all 392 cells with n <= 7 in 1,432 nodes and about 0.05 raw
 seconds on a 2-core VM; it builds none of the 309 SAT certificates.  The
-DFS alone, run on every cell, takes 22,979 nodes there.  (10,4,3) is SAT
-in 5,966 nodes, 0.45-0.65 raw seconds; 9,924 ``no_candidates`` prunes
-fire on it, 7,339 of them on children skipped unentered.
+DFS alone, run on every cell, takes 1,611 nodes there.  (10,4,3) is SAT
+in 22 nodes, about 1 raw ms.  (11,4,3) is SAT in 22,037 nodes, about
+1.7-3 raw seconds; 23,568 ``no_candidates`` prunes fire on it, 8,514 of
+them on children skipped unentered.
 """
 
 from __future__ import annotations
@@ -275,10 +282,11 @@ class _Searcher:
         self.mask = [((1 << n) - 1) << (r * n) for r in _until(deadline, range(n))]
         self.mask += [column << c for c in _until(deadline, range(n))]
         self.shift = [r * n for r in range(n)] + list(range(n))
-        # cap[s][u]: cap_L of a line with s uses left and u uncovered cells
+        # cap[s][u]: w_L of a line with s uses left and u uncovered cells,
+        # min(u, t * cap_L) written out (module docstring)
         t = p - 1
         self.cap = [
-            [(s - (u > t * s)) if u else 0 for u in range(n + 1)]
+            [u if u <= t * s else t * (s - 1) for u in range(n + 1)]
             for s in _until(deadline, range(m + 1))
         ]
         self.deadline = deadline
@@ -289,8 +297,9 @@ class _Searcher:
 
     def load(self, covered: int, used: list[int]) -> int:
         """Keep the state's per-line ``used``, ``counts`` (u_L) and ``caps``
-        (cap_L, module docstring; 0 on a line with no uncovered cell) on
-        the searcher, counted from scratch, and return the sum of the caps."""
+        (the weights w_L = min(u_L, (p-1)*cap_L), module docstring; 0 on a
+        line with no uncovered cell) on the searcher, counted from scratch,
+        and return the sum of the weights."""
         uncov = ~covered & self.full
         self.used = list(used)
         self.counts = [(uncov & mask).bit_count() for mask in self.mask]
@@ -305,10 +314,10 @@ class _Searcher:
         """All live canonical rectangles through the first uncovered cell
         whose child passes the counting bound, as (rows, cols, cell_mask,
         child_total), thin-side-first; ``child_total`` is the child's sum
-        of cap_L.  ``cols`` names columns by line id, n..2n-1.
+        of w_L.  ``cols`` names columns by line id, n..2n-1.
 
         The state is the one on the searcher (``load``), with ``total`` its
-        sum of cap_L, and must be live: every line with an uncovered cell
+        sum of w_L, and must be live: every line with an uncovered cell
         has a use left.  A dead child (one that would leave a line with no
         use left and an uncovered cell) is never built; a child that fails
         the counting bound is counted as a ``counting`` prune and never
@@ -354,11 +363,12 @@ class _Searcher:
         # join only if the thin side spans all its uncovered cells.
         #
         # The child's counting bound needs its |new| and the change of
-        # sum(cap_L) over the rectangle's lines.  Each new cell lies on one
+        # sum(w_L) over the rectangle's lines.  Each new cell lies on one
         # thin line, so |new| is the thin lines' new cells; a wide line
         # gains new cells where it meets the thin side, the same number
-        # on every line of a class, so a wide class's cap change per line
-        # is fixed with the thin side and summed along with its prefixes.
+        # on every line of a class, so a wide class's weight change per
+        # line is fixed with the thin side and summed along with its
+        # prefixes.
         # Before any wide side is drawn, the thin side is refuted whole if
         # even its best wide side would fail (module docstring).
         #
@@ -386,17 +396,17 @@ class _Searcher:
                 thin_lines = head + extra
                 spans = head_spans | extra_spans
                 # a thin line's new cells depend on the wide side: kept as
-                # (its cells, its cap_L by u_L after this use, u_L, cap_L).
-                # thin_best is the most their cap_L can rise in all: after
-                # this use a line's cap_L is at most s, its uses left, and
-                # is s with one uncovered cell left, or 0 with none left
+                # (its cells, its w_L by u_L after this use, u_L, w_L).
+                # thin_best is the most their w_L can rise in all: after
+                # this use a line brings at least one new cell and has s
+                # uses left, so its w_L is at most min(u_L - 1, t*s)
                 must, thin_counts, thin_best = 0, [], 0
                 for x in thin_lines:
                     s, u = last - used[x], counts[x]
                     if not s:
                         must |= uncov & mask[x]
                     thin_counts.append((mask[x], cap[s], u, caps[x]))
-                    thin_best += (s if u > 1 else 0) - caps[x]
+                    thin_best += (u - 1 if u <= thin_cap * s else thin_cap * s) - caps[x]
                 live = uncov & spans
                 y = wide_first
                 forced = (y,)
@@ -422,8 +432,8 @@ class _Searcher:
                 else:
                     # the best any wide side can do: the forced lines as
                     # they are, the thin lines at their best, and nothing
-                    # from a free wide line, which brings at most p-1 new
-                    # cells and loses at least 1 of cap_L
+                    # from a free wide line, whose w_L falls by at least
+                    # the k <= p-1 new cells it brings
                     forced_new = (live & reach).bit_count()
                     if not within_bound(left - forced_new, total + gain + thin_best):
                         thin_sides += 1
@@ -461,8 +471,8 @@ class _Searcher:
 
     def within_bound(self, uncovered: int, total: int) -> bool:
         """The counting bound: False when ``uncovered`` cells are more than
-        p-1 times ``total``, the sum of cap_L over all lines."""
-        return uncovered <= (self.p - 1) * total
+        ``total``, the sum of the weights w_L over all lines."""
+        return uncovered <= total
 
     # -- depth-first search ---------------------------------------------
 
@@ -477,15 +487,15 @@ class _Searcher:
         chosen: list[tuple[tuple[int, ...], tuple[int, ...]]],
     ) -> bool:
         """Search on from a state whose per-line ``used``, ``counts`` and
-        ``caps`` are on ``self``, with ``total`` the sum of its caps.  The
-        counting bound is checked on the children as they are generated,
-        not on the state entered: a state that fails it has no child that
-        passes, so it is one node and one ``no_candidates`` prune, and
-        :func:`search_avoiding` hands over only roots where the guarantee
-        theorem is silent.  ``nodes`` counts the states entered; a child
-        whose branching cell is closed (module docstring) is skipped
-        unentered and counted as the ``no_candidates`` prune it would
-        record."""
+        ``caps`` (the weights w_L) are on ``self``, with ``total`` their
+        sum.  The counting bound is checked on the children as they are
+        generated, not on the state entered: a state that fails it has no
+        child that passes, so it is one node and one ``no_candidates``
+        prune, and :func:`search_avoiding` hands over only roots where the
+        guarantee theorem is silent.  ``nodes`` counts the states entered;
+        a child whose branching cell is closed (module docstring) is
+        skipped unentered and counted as the ``no_candidates`` prune it
+        would record."""
         self.nodes += 1
         if self.node_limit is not None and self.nodes > self.node_limit:
             raise _Abort("nodes")

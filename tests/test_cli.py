@@ -533,7 +533,7 @@ def test_bad_guard_env_is_usage_error(monkeypatch, capsys):
         assert run(["search", "--n", "2", "--m", "2", "--p", "2"]) == 64, raw
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("usage error: "), raw
-    # leading zeros are plain digits: (7,3,3), SAT after 148 nodes, is
+    # leading zeros are plain digits: (7,3,3), SAT after 23 nodes, is
     # INCONCLUSIVE under a budget of 005
     monkeypatch.setenv("RAMSEY_GUARD_NODES", "005")
     assert run(["search", "--n", "7", "--m", "3", "--p", "3"]) == 4

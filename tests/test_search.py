@@ -164,7 +164,7 @@ def test_deterministic_single_worker():
 
 
 def test_node_limit_gives_inconclusive():
-    # (7,3,3) is SAT after 148 nodes
+    # (7,3,3) is SAT after 23 nodes
     out = run(7, 3, 3, node_limit=5)
     assert out.verdict == INCONCLUSIVE
     assert out.witness is None
@@ -172,8 +172,8 @@ def test_node_limit_gives_inconclusive():
 
 
 def test_timeout_gives_inconclusive():
-    # (10,4,3) is SAT only after 5,966 nodes, about 0.5 s
-    out = run(10, 4, 3, timeout=0.001)
+    # (11,4,3) is SAT only after 22,037 nodes, about 2 s
+    out = run(11, 4, 3, timeout=0.001)
     assert out.verdict == INCONCLUSIVE
     assert out.stats.prunes["abort_timeout"] == 1
 
@@ -372,7 +372,7 @@ def test_n7_public_table_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3eb4eda6ae818467cfb1d69a62c8f517fa7a52f6a3de3c7164ffb84f5805c595"
     )
-    assert sum(row.nodes for row in rows) == 1557
+    assert sum(row.nodes for row in rows) == 1432
 
 
 def test_n5_verdict_table_pinned():
@@ -493,7 +493,7 @@ def bounded_and_filtered(n, m, p, covered, used):
     searcher's ``candidates`` returns with the bound on, ``every`` what it
     returns with the bound off, and ``kept`` the children of ``every``
     whose from-scratch count (``line_counts``) passes the bound, each with
-    that count's sum of cap_L."""
+    that count's sum of w_L."""
     searcher = _Searcher(n, m, p, None, None)
     got = searcher.candidates(covered, searcher.load(covered, used))
     unbounded = _Searcher(n, m, p, None, None)
@@ -515,7 +515,7 @@ def bounded_and_filtered(n, m, p, covered, used):
 def test_candidates_drop_exactly_the_children_failing_the_bound():
     # with the bound on, the generator returns the bound-off list, in the
     # same order, less each child whose from-scratch count fails the bound,
-    # and each child kept carries its sum of cap_L.  Each failing child is
+    # and each child kept carries its sum of w_L.  Each failing child is
     # one counting prune, unless the thin side it was drawn under was
     # refuted whole first: that is one thin_side prune for all its children
     dropped = 0
@@ -579,8 +579,8 @@ def test_prefixes_match_product_definition():
 @pytest.mark.parametrize(
     "cell, nodes, prunes",
     [
-        ((6, 4, 2), 5472, {"counting": 7326, "thin_side": 3613, "no_candidates": 3137}),
-        ((7, 3, 3), 148, {"counting": 510, "thin_side": 437, "no_candidates": 199}),
+        ((6, 4, 2), 13, {"counting": 25, "thin_side": 3}),
+        ((7, 3, 3), 23, {"counting": 107, "thin_side": 48, "no_candidates": 12}),
     ],
     ids=["6,4,2", "7,3,3"],
 )
@@ -637,8 +637,8 @@ def test_counting_bound_at_root_is_the_theorem():
 def test_dfs_refutes_a_state_failing_the_bound_in_one_node():
     # the DFS does not check the bound on the state it enters, only on the
     # children it generates; a state that fails it has no child that
-    # passes (a wide line brings at most p-1 new cells and loses at least
-    # 1 of cap_L), so a guaranteed cell driven through the DFS is still
+    # passes (a wide line brings k <= p-1 new cells and its weight w_L falls
+    # by at least k), so a guaranteed cell driven through the DFS is still
     # refuted in one node, with no candidate at the root
     for n in range(1, 13):
         for m in range(1, n + 2):
@@ -678,16 +678,37 @@ def test_counting_bound_prunes_only_dead_states():
     assert fired >= 20
 
 
+def test_weights_refute_only_dead_states():
+    # w_L = min(u_L, (p-1)*cap_L) fires on states where (p-1)*cap_L alone
+    # does not, never the other way round; at each such state the search
+    # with the bound off must find no completion
+    sharper = 0
+    for n, m, p, covered, used in walk_states(7, 2000, range(3, 6)):
+        counts, _, _ = line_counts(n, m, p, covered, used)
+        caps = [(m - k) - (u > (p - 1) * (m - k)) if u else 0 for k, u in zip(used, counts)]
+        uncovered = sum(counts[:n])
+        weighted, capped = bound_fires(n, m, p, covered, used), uncovered > (p - 1) * sum(caps)
+        assert weighted or not capped, (n, m, p, covered, used)
+        if weighted and not capped:
+            unbounded = _Searcher(n, m, p, None, None)
+            unbounded.within_bound = lambda *counts: True
+            assert not unbounded.search(covered, used), (n, m, p, covered, used)
+            sharper += 1
+    assert sharper >= 20
+
+
 def line_counts(n, m, p, covered, used):
     """(counts, caps, total) of the state (covered, used), each line counted
-    from scratch: u_L uncovered cells, s_L = m - used_L uses left, cap_L =
-    s_L - [u_L > (p-1)*s_L] on a line with an uncovered cell, else 0, and
-    their sum.  Rows are lines 0..n-1 and columns lines n..2n-1."""
+    from scratch: ``counts`` holds u_L, its uncovered cells, and ``caps``
+    its weight w_L = min(u_L, (p-1)*cap_L), where s_L = m - used_L uses are
+    left and cap_L = s_L - [u_L > (p-1)*s_L]; ``total`` is the sum of the
+    weights.  Rows are lines 0..n-1 and columns lines n..2n-1."""
     holes = [[not covered >> (r * n + c) & 1 for c in range(n)] for r in range(n)]
     counts = [sum(row) for row in holes] + [sum(row[c] for row in holes) for c in range(n)]
-    caps = [
-        (m - k) - (u > (p - 1) * (m - k)) if u else 0 for k, u in zip(used, counts)
-    ]
+    caps = []
+    for k, u in zip(used, counts):
+        cap = (m - k) - (u > (p - 1) * (m - k))
+        caps.append(min(u, (p - 1) * cap))
     return counts, caps, sum(caps)
 
 
@@ -727,7 +748,7 @@ def test_handed_down_counts_match_recount():
     cells = [(n, m, p) for n in range(1, 6) for m in range(1, 6) for p in range(1, 7)]
     cells += [(6, 4, 2), (7, 3, 3)]
     nodes = [checked_search(*cell) for cell in cells]
-    assert nodes[-2:] == [5472, 148]
+    assert nodes[-2:] == [13, 23]
 
 
 def branching_cell_closed(n, m, p, covered, used):
@@ -777,7 +798,9 @@ def test_no_closed_branching_cell_is_entered():
 def test_dfs_census_pinned():
     # verdict, prune tallies and certificate of every cell that reaches the
     # DFS with n <= 8 (p >= 3 above guaranteed_p), and of (9,4,3) and
-    # (10,4,3); a prune that only saves nodes leaves the digest as it is
+    # (10,4,3); a prune that only saves nodes leaves the digest as it is.
+    # A sharper bound moves the prune tallies but no verdict or certificate,
+    # so verdicts and certificates are pinned on their own as well
     cells = [
         (n, m, p)
         for n in range(1, 9)
@@ -786,12 +809,14 @@ def test_dfs_census_pinned():
         if p > guaranteed_p(n, m)
     ]
     cells += [(9, 4, 3), (10, 4, 3)]
-    digest, nodes = hashlib.sha256(), 0
+    digest, answers, nodes = hashlib.sha256(), hashlib.sha256(), 0
     for cell in cells:
         out = run(*cell)
         nodes += out.stats.nodes
         witness = cover_to_obj(out.witness) if out.witness else None
         digest.update(repr((cell, out.verdict, sorted(out.stats.prunes.items()), witness)).encode())
+        answers.update(repr((cell, out.verdict, witness)).encode())
     assert len(cells) == 171
-    assert digest.hexdigest() == "93e7daf7cd55686b2adb6ec7787ae3fcb6448bc4664442cb925fbef4627875a5"
-    assert nodes == 8414
+    assert digest.hexdigest() == "5cdbe194bafc2586b040b66b12ce2f2b1566067cff930c6bd196dc62be829a81"
+    assert answers.hexdigest() == "dd394500b8525d788fe863f9fb685c8b0d1c5a416ec5b2634a9ac865fa59c174"
+    assert nodes == 1303
