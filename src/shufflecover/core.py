@@ -339,13 +339,8 @@ class KPartiteCover:
 
     def touched_sets(self, color: int) -> list[set[int]]:
         """Per-part vertex sets incident to an edge of ``color``."""
-        touched: list[set[int]] = [set() for _ in range(self.k)]
-        for a, b, rects in self.pairs:
-            for rect in rects:
-                if rect.color == color:
-                    touched[a].update(rect.rows)
-                    touched[b].update(rect.cols)
-        return touched
+        touched = _color_groups(self).get(color, ({}, {}))[0]
+        return [touched.get(part, set()) for part in range(self.k)]
 
 
 @dataclass(frozen=True)
@@ -712,6 +707,12 @@ def check_kpartite_coverage(cover: KPartiteCover) -> KPartiteCoverageViolation |
         if gap is not None:
             return KPartiteCoverageViolation(part_a=a, part_b=b, row=gap[0], col=gap[1])
     return None
+
+
+def kpartite_violation(cover: KPartiteCover) -> KPartiteShuffleViolation | KPartiteCoverageViolation | None:
+    """First fault of a complete k-partite coloring: a swap violation
+    (:func:`validate_kpartite`) before a coverage gap, or None."""
+    return validate_kpartite(cover) or check_kpartite_coverage(cover)
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,8 @@ from .core import (
     RectangleCover,
     SuperimposedWitness,
     Witness,
-    check_kpartite_coverage,
     check_ints,
-    validate_kpartite,
+    kpartite_violation,
     _color_groups,
     _shuffle_spans,
 )
@@ -209,7 +208,7 @@ def find_mono_kpartite(cover: KPartiteCover, p: int) -> KPartiteWitness | None:
     input.
     """
     check_ints(_P, p, low=1)
-    violation = validate_kpartite(cover) or check_kpartite_coverage(cover)
+    violation = kpartite_violation(cover)
     if violation is not None:
         raise NotShufflePreserved(violation)
     groups = _color_groups(cover)

@@ -217,6 +217,11 @@ violation_to_obj = witness_to_obj = _tagged_to_obj
 # sniffing loader
 
 
+# the key that marks each JSON format, in the order they are tried
+_LOADERS = (("rectangles", cover_from_obj), ("pairs", kpartite_from_obj),
+            ("cliques", clique_family_from_obj))
+
+
 def load_instance(text: str):
     """Parse matrix text or any of the JSON formats, deciding by content:
     input whose first non-blank character is ``{`` or ``[`` is JSON, and
@@ -235,10 +240,7 @@ def load_instance(text: str):
         raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise FormatError("JSON input must be an object: a cover, k-partite cover, or clique family")
-    if "rectangles" in obj:
-        return cover_from_obj(obj)
-    if "pairs" in obj:
-        return kpartite_from_obj(obj)
-    if "cliques" in obj:
-        return clique_family_from_obj(obj)
+    for key, load in _LOADERS:
+        if key in obj:
+            return load(obj)
     raise FormatError("unrecognized JSON object (expected a cover, k-partite cover, or clique family)")

@@ -1,5 +1,6 @@
 """CLI tests: subcommands, exit codes, formats, pipe composition."""
 
+import dataclasses
 import gc
 import hashlib
 import io
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from shufflecover import cli, core, formats, write_matrix, construct_recursive_matrix
-from shufflecover import construct_block_circulant, guaranteed_p
+from shufflecover import SearchStats, construct_block_circulant, guaranteed_p
 from shufflecover.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,7 +52,8 @@ def test_generate_kpartite_matrix_is_usage_error(monkeypatch, capsys):
     def build_cover(*args):
         raise AssertionError("the cover was built before --format was checked")
 
-    monkeypatch.setattr(cli, "construct_kpartite_avoiding", build_cover)
+    flags, _, to_matrix = cli._KINDS["kpartite"]
+    monkeypatch.setitem(cli._KINDS, "kpartite", (flags, build_cover, to_matrix))
     code = run(["generate", "--kind", "kpartite", "--n", "4", "--m", "2", "--k", "3",
                 "--format", "matrix"])
     assert code == 64
@@ -88,6 +90,10 @@ COMMANDS = ("generate", "validate", "detect", "bound", "search", "superimposed",
          "RAMSEY_GUARD_NODES must be an integer, got 'zz'"),
         (["generate", "--kind", "circulant", "--n", "9", "--m", "3"], None,
          "--kind circulant requires --n, --m, and --p"),
+        (["generate", "--kind", "modm", "--n", "5"], None, "--kind modm requires --n and --m"),
+        (["generate", "--kind", "recursive"], None, "--kind recursive requires --k"),
+        (["generate", "--kind", "kpartite", "--n", "4", "--m", "2"], None,
+         "--kind kpartite requires --n, --m, and --k"),
         (["generate", "--kind", "circulant", "--n", "9", "--m", "3", "--p", "3"], None,
          "p = 3 is at most guaranteed_p(9, 3) = 3: every 3-local coloring of the 9x9 grid"
          " holds a monochromatic K_{3,3}"),
@@ -513,6 +519,14 @@ def test_search_exit_codes(capsys, monkeypatch):
     assert run(["search", "--n", "7", "--m", "3", "--p", "3"]) == 4
     obj = json.loads(capsys.readouterr().out)
     assert obj["verdict"] == "INCONCLUSIVE" and obj["witness"] is None
+
+
+def test_search_stats_are_the_search_stats_fields(capsys):
+    # (7,3,3) goes through the DFS, so its stats hold prunes
+    assert run(["search", "--n", "7", "--m", "3", "--p", "3"]) == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert list(stats) == [f.name for f in dataclasses.fields(SearchStats)]
+    assert stats["prunes"]
 
 
 def test_search_witness_is_reusable_json(monkeypatch, capsys):

@@ -379,6 +379,8 @@ def test_kpartite_valid_single_color():
     assert check_kpartite_coverage(cover) is None
     assert cover.colors() == {0}
     assert cover.touched_sets(0) == [{0, 1}, {0, 1}, {0, 1}]
+    # a color the cover does not hold touches nothing in any part
+    assert cover.touched_sets(5) == [set(), set(), set()]
 
 
 def test_kpartite_shuffle_violation():
