@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, repeat
 
 
@@ -338,9 +339,28 @@ class KPartiteCover:
         return {r.color for _, _, rects in self.pairs for r in rects}
 
     def touched_sets(self, color: int) -> list[set[int]]:
-        """Per-part vertex sets incident to an edge of ``color``."""
-        touched = _color_groups(self).get(color, ({}, {}))[0]
-        return [touched.get(part, set()) for part in range(self.k)]
+        """Fresh per-part vertex sets incident to an edge of ``color``."""
+        touched = self._groups.get(color, ({}, {}))[0]
+        return [set(touched.get(part, ())) for part in range(self.k)]
+
+    @cached_property
+    def _groups(self) -> dict[int, _ColorGroup]:
+        """Per color, grouped in one pass on first use and then kept: the
+        vertices it touches in each part it touches, and its rectangles by
+        part pair, in cover order.  Not a field, and not pickled."""
+        groups: dict[int, _ColorGroup] = {}
+        for a, b, rects in self.pairs:
+            for rect in rects:
+                if rect.color not in groups:
+                    groups[rect.color] = ({}, {})
+                touched, own = groups[rect.color]
+                touched.setdefault(a, set()).update(rect.rows)
+                touched.setdefault(b, set()).update(rect.cols)
+                own.setdefault((a, b), []).append(rect)
+        return groups
+
+    def __getstate__(self):
+        return {name: value for name, value in vars(self).items() if name != "_groups"}
 
 
 @dataclass(frozen=True)
@@ -547,9 +567,9 @@ def rectangles_to_matrix(cover: RectangleCover) -> ColorMatrix:
                         f"cell ({r}, {c}) lies in rectangles of colors {row[c]} and {rect.color}"
                     )
                 row[c] = rect.color
-    gap = check_coverage(cover)
-    if gap is not None:
-        raise ValueError(f"cell ({gap.row}, {gap.col}) is uncovered; no matrix form exists")
+    for r, row in enumerate(grid):
+        if None in row:
+            raise ValueError(f"cell ({r}, {row.index(None)}) is uncovered; no matrix form exists")
     return ColorMatrix(tuple(tuple(row) for row in grid))  # type: ignore[arg-type]
 
 
@@ -662,23 +682,6 @@ def triple_count(cover: RectangleCover) -> int:
 _ColorGroup = tuple[dict[int, set[int]], dict[tuple[int, int], list[Rectangle]]]
 
 
-def _color_groups(cover: KPartiteCover) -> dict[int, _ColorGroup]:
-    """Per color, in one pass over the cover: the vertices it touches in
-    each part it touches (the nonempty :meth:`KPartiteCover.touched_sets`),
-    and its rectangles by part pair, in cover order."""
-    groups: dict[int, _ColorGroup] = {}
-    for a, b, rects in cover.pairs:
-        for rect in rects:
-            group = groups.get(rect.color)
-            if group is None:
-                group = groups[rect.color] = ({}, {})
-            touched, own = group
-            touched.setdefault(a, set()).update(rect.rows)
-            touched.setdefault(b, set()).update(rect.cols)
-            own.setdefault((a, b), []).append(rect)
-    return groups
-
-
 def validate_kpartite(cover: KPartiteCover) -> KPartiteShuffleViolation | None:
     """Check the multipartite swap property.
 
@@ -687,9 +690,7 @@ def validate_kpartite(cover: KPartiteCover) -> KPartiteShuffleViolation | None:
     carry an edge of color c.  Returns the first missing pair found, colors
     ascending and part pairs in order, or None.
     """
-    groups = _color_groups(cover)
-    for color in sorted(groups):
-        touched, own = groups[color]
+    for color, (touched, own) in sorted(cover._groups.items()):
         for a, b in combinations(sorted(touched), 2):
             gap = _first_gap(sorted(touched[a]), sorted(touched[b]), own.get((a, b), ()))
             if gap is not None:

@@ -30,7 +30,6 @@ from .core import (
     Witness,
     check_ints,
     kpartite_violation,
-    _color_groups,
     _shuffle_spans,
 )
 
@@ -199,9 +198,9 @@ def find_mono_kpartite(cover: KPartiteCover, p: int) -> KPartiteWitness | None:
     for complete shuffle-preserved colorings with any number of colors.
 
     Scans colors in ascending order for one that touches at least p
-    vertices in every part, and returns its lowest p per part.  The scan is
-    exact because a validated color carries every edge between its touched
-    sets, so each color class is complete multipartite on what it touches.
+    vertices in every part, and returns its lowest p per part, reading the
+    color grouping the validity check kept on the cover.  The scan is exact:
+    each validated color class is complete multipartite on what it touches.
     On a 2-coloring a witness is guaranteed when 2(p-1) < n; above that, or
     with more colors, the result may be None.  Raises
     :class:`NotShufflePreserved` (also used for incomplete coverage) on bad
@@ -211,9 +210,7 @@ def find_mono_kpartite(cover: KPartiteCover, p: int) -> KPartiteWitness | None:
     violation = kpartite_violation(cover)
     if violation is not None:
         raise NotShufflePreserved(violation)
-    groups = _color_groups(cover)
-    for color in sorted(groups):
-        touched = groups[color][0]
+    for color, (touched, _) in sorted(cover._groups.items()):
         if len(touched) == cover.k and all(len(t) >= p for t in touched.values()):
             return KPartiteWitness(
                 color=color,

@@ -4,6 +4,10 @@ Expected values for the 4x4 golden matrix were worked out by hand from its
 color spans before the conversion code existed.
 """
 
+import copy
+import dataclasses
+import functools
+import pickle
 import time
 from itertools import chain, combinations
 
@@ -29,12 +33,15 @@ from shufflecover import (
     check_coverage,
     check_kpartite_coverage,
     color_classes,
+    construct_kpartite_avoiding,
     construct_mod_m,
     cover_to_obj,
     find_mono_biclique_brute,
     find_mono_biclique_fast,
     find_mono_kpartite,
+    find_mono_kpartite_brute,
     guaranteed_p,
+    kpartite_violation,
     local_profile,
     locality_violation,
     matrix_local_profile,
@@ -214,9 +221,12 @@ def test_rectangles_to_matrix_rejects_overlap():
 
 
 def test_rectangles_to_matrix_rejects_gap():
+    # the first uncovered cell, row-major: the one check_coverage reports
     rects = (Rectangle(color=0, rows=[0], cols=[0, 1]),)
-    with pytest.raises(ValueError):
-        rectangles_to_matrix(RectangleCover(n_rows=2, n_cols=2, rectangles=rects))
+    cover = RectangleCover(n_rows=2, n_cols=2, rectangles=rects)
+    with pytest.raises(ValueError, match=r"^cell \(1, 0\) is uncovered; no matrix form exists$"):
+        rectangles_to_matrix(cover)
+    assert check_coverage(cover) == CoverageViolation(row=1, col=0)
 
 
 def test_check_coverage_reports_first_gap_row_major():
@@ -525,10 +535,26 @@ def kpartite_covers(draw):
     return KPartiteCover(k=k, n=n, pairs=tuple((a, b, tuple(rects)) for (a, b), rects in pairs.items()))
 
 
+def reference_colors(cover):
+    return {rect.color for _, _, rects in cover.pairs for rect in rects}
+
+
+def reference_touched(cover, color):
+    """Per-part vertex sets of ``color``, read off the raw rectangles: the
+    cover's own grouping is what the checks under test read."""
+    touched = [set() for _ in range(cover.k)]
+    for a, b, rects in cover.pairs:
+        for rect in rects:
+            if rect.color == color:
+                touched[a].update(rect.rows)
+                touched[b].update(rect.cols)
+    return touched
+
+
 def reference_kpartite_violation(cover):
     by_pair = {(a, b): rects for a, b, rects in cover.pairs}
-    for color in sorted(cover.colors()):
-        touched = cover.touched_sets(color)
+    for color in sorted(reference_colors(cover)):
+        touched = reference_touched(cover, color)
         for a, b in combinations(range(cover.k), 2):
             own = [rect for rect in by_pair.get((a, b), ()) if rect.color == color]
             gap = reference_gap(sorted(touched[a]), sorted(touched[b]), own)
@@ -551,11 +577,14 @@ def reference_kpartite_gap(cover):
 def test_kpartite_scans_match_per_cell_reference(cover):
     assert validate_kpartite(cover) == reference_kpartite_violation(cover)
     assert check_kpartite_coverage(cover) == reference_kpartite_gap(cover)
+    assert cover.colors() == reference_colors(cover)
+    for color in range(6):  # colors 5 and up touch nothing
+        assert cover.touched_sets(color) == reference_touched(cover, color)
 
 
 def reference_mono_kpartite(cover, p):
-    for color in sorted(cover.colors()):
-        touched = cover.touched_sets(color)
+    for color in sorted(reference_colors(cover)):
+        touched = reference_touched(cover, color)
         if all(len(t) >= p for t in touched):
             return KPartiteWitness(color=color, parts=tuple(frozenset(sorted(t)[:p]) for t in touched))
     return None
@@ -572,6 +601,65 @@ def test_find_mono_kpartite_matches_per_color_reference(cover):
             assert info.value.violation == violation
         else:
             assert find_mono_kpartite(cover, p) == reference_mono_kpartite(cover, p)
+
+
+def test_kpartite_cover_is_grouped_at_most_once(monkeypatch):
+    # every fast k-partite check reads the grouping the cover keeps; the
+    # raw color pass that feeds the brute-force oracle builds none
+    built = []
+    group = KPartiteCover._groups.func
+
+    def counted(cover):
+        built.append(cover)
+        return group(cover)
+
+    kept = functools.cached_property(counted)
+    kept.__set_name__(KPartiteCover, "_groups")
+    monkeypatch.setattr(KPartiteCover, "_groups", kept)
+    cover = construct_kpartite_avoiding(4, 2, 3)
+    assert cover.colors() == {0, 1}
+    assert find_mono_kpartite_brute(cover, 2) is not None
+    assert built == []
+    assert kpartite_violation(cover) is None
+    for p in range(1, 6):
+        assert find_mono_kpartite(cover, p) == find_mono_kpartite_brute(cover, p)
+    for _ in range(3):
+        assert [cover.touched_sets(color) for color in (0, 1, 2)] == [
+            [{0, 2}, {0, 1, 2, 3}, {0, 1, 2, 3}],
+            [{1, 3}, {0, 1, 2, 3}, {0, 1, 2, 3}],
+            [set(), set(), set()],
+        ]
+    assert built == [cover]
+
+
+def test_touched_sets_cannot_change_the_kept_grouping():
+    cover = mk_kpartite(3, 2, [(a, b, (full_rect(0, 2),)) for a, b in ((0, 1), (0, 2), (1, 2))])
+    witness = find_mono_kpartite(cover, 2)
+    assert witness == KPartiteWitness(color=0, parts=({0, 1},) * 3)
+    # in the kept grouping, an emptied set would hide the witness, and a
+    # vertex 2 would be a swap violation
+    for change in (set.clear, lambda touched: touched.add(2)):
+        for touched in chain(cover.touched_sets(0), cover.touched_sets(1)):
+            change(touched)
+        assert validate_kpartite(cover) is None
+        assert find_mono_kpartite(cover, 2) == witness
+        assert cover.touched_sets(0) == [{0, 1}] * 3
+        assert cover.touched_sets(1) == [set()] * 3
+
+
+def test_kept_grouping_is_not_part_of_the_cover():
+    fresh, grouped = construct_kpartite_avoiding(4, 2, 3), construct_kpartite_avoiding(4, 2, 3)
+    assert kpartite_violation(grouped) is None
+    assert "_groups" in vars(grouped) and "_groups" not in vars(fresh)
+    assert grouped == fresh and hash(grouped) == hash(fresh) and repr(grouped) == repr(fresh)
+    for twin in (dataclasses.replace(grouped), copy.copy(grouped), copy.deepcopy(grouped)):
+        assert twin == grouped and "_groups" not in vars(twin)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(grouped, protocol)
+        assert data == pickle.dumps(fresh, protocol)
+        restored = pickle.loads(data)
+        assert restored == grouped and "_groups" not in vars(restored)
+        assert validate_kpartite(restored) is None
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,18 @@ def test_budgets_bound_only_the_dfs():
     assert (out.verdict, out.stats.nodes, out.stats.prunes) == (UNSAT, 1, {})
 
 
+def test_dfs_exhausted_space_is_unsat(monkeypatch):
+    # no square cell above guaranteed_p is UNSAT, so with the theorem off
+    # two guaranteed cells reach the DFS, which must refute them itself:
+    # at the root both thin sides fail, and no candidate is left
+    monkeypatch.setattr(search, "guaranteed_p", lambda n, m: 0)
+    for n in (5, 6):
+        out = run(n, 2, 3)
+        assert (out.verdict, out.witness) == (UNSAT, None), n
+        assert out.stats.nodes == 1, n
+        assert out.stats.prunes == {"thin_side": 2, "no_candidates": 1}, n
+
+
 def test_decided_cells_build_no_searcher(monkeypatch):
     # every cell the theorems decide is answered before any search state
     # exists, so with _Searcher unusable each still gets its answer
