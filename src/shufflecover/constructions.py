@@ -41,7 +41,7 @@ _BASE_4X4 = (
 
 
 class GenerationFailed(RuntimeError):
-    """Random cover generation exhausted its retry budget."""
+    """No random cover: none exists, or the retry budget ran out."""
 
 
 def construct_mod_m(n: int, m: int) -> ColorMatrix:
@@ -108,7 +108,7 @@ def construct_block_circulant(n: int, m: int, p: int) -> RectangleCover:
     lines; a color class is one rectangle, so no color holds K_{p,p}.
 
     Colors: row groups 0..N-1, then column groups N..2N-1 (stripes use the
-    first N only).
+    first N only).  Each side is built once; the stripes share one column set.
     """
     check_ints("n, m, p must be positive integers, got {!r}", n, m, p, low=1)
     bound = guaranteed_p(n, m)
@@ -120,20 +120,19 @@ def construct_block_circulant(n: int, m: int, p: int) -> RectangleCover:
     t = p - 1
     groups = [frozenset(range(i, min(i + t, n))) for i in range(0, n, t)]
     big_n = len(groups)
-
-    def run(first: int, count: int) -> frozenset[int]:
-        # the lines of groups first, first+1, ..., first+count-1, mod N
-        return frozenset().union(*(groups[g % big_n] for g in range(first, first + count)))
-
     if big_n <= m:
-        rects = [Rectangle(color=i, rows=groups[i], cols=run(0, big_n)) for i in range(big_n)]
+        all_cols = frozenset(range(n))
+        rects = [Rectangle(color=i, rows=rows, cols=all_cols) for i, rows in enumerate(groups)]
     else:
-        # row i of X has its ones at columns i..i+k-1 and column j its
-        # zeros at rows j+1..j+m-1, mod N
-        k = big_n - m + 1
-        rects = [Rectangle(color=i, rows=groups[i], cols=run(i, k)) for i in range(big_n)]
+        # row i of X has its ones at columns i..i+k-1 and column j its zeros
+        # at rows j+1..j+m-1, mod N: slices of the groups written twice
+        ring, k = groups * 2, big_n - m + 1
+        rects = [
+            Rectangle(color=i, rows=groups[i], cols=frozenset().union(*ring[i : i + k]))
+            for i in range(big_n)
+        ]
         rects += [
-            Rectangle(color=big_n + j, rows=run(j + 1, m - 1), cols=groups[j])
+            Rectangle(color=big_n + j, rows=frozenset().union(*ring[j + 1 : j + m]), cols=groups[j])
             for j in range(big_n)
         ]
     return RectangleCover(n_rows=n, n_cols=n, rectangles=tuple(rects))
@@ -179,10 +178,13 @@ def random_cover(n: int, m: int, max_min_side: int, seed: int) -> RectangleCover
     axis, grow a small random thin side through that cell, and span the
     fat side across every budget-positive line that still has uncovered
     cells in the thin slice.  Deterministic for a fixed seed.  Raises
-    :class:`GenerationFailed` when a retry budget (200 attempts) runs out,
-    e.g. random_cover(4, 1, 1, seed) for every seed.
+    :class:`GenerationFailed` at once when no cover exists, which is exactly
+    when max_min_side < guaranteed_p(n, m); else after 200 failed attempts.
     """
     check_ints("n, m, max_min_side must be positive integers, got {!r}", n, m, max_min_side, low=1)
+    cell = f"(n={n}, m={m}, max_min_side={max_min_side})"
+    if max_min_side + 1 <= guaranteed_p(n, m):  # the guarantee theorem
+        raise GenerationFailed(f"no {cell} cover exists")
     rng = random.Random(seed)
     # rotate three flavors: cell-greedy explores loose instances well, the
     # block pattern reaches tight thin-1 instances, and row-group stripes
@@ -192,9 +194,7 @@ def random_cover(n: int, m: int, max_min_side: int, seed: int) -> RectangleCover
         rects = flavors[attempt % 3](n, m, max_min_side, rng)
         if rects is not None:
             return RectangleCover(n_rows=n, n_cols=n, rectangles=rects)
-    raise GenerationFailed(
-        f"no (n={n}, m={m}, max_min_side={max_min_side}) cover found in 200 attempts"
-    )
+    raise GenerationFailed(f"no {cell} cover found in 200 attempts")
 
 
 def _attempt_cover(

@@ -1,6 +1,8 @@
 """Construction tests: golden matrix, doubling, mod-m, random covers."""
 
 import hashlib
+import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from shufflecover import (
     construct_kpartite_avoiding,
     construct_mod_m,
     construct_recursive_matrix,
+    constructions,
+    cover_to_obj,
     find_mono_biclique_brute,
     find_mono_biclique_fast,
     guaranteed_p,
@@ -167,6 +171,26 @@ def test_random_cover_infeasible_raises():
         random_cover(4, 1, 1, seed=0)
 
 
+def test_random_cover_refuses_impossible_cells_at_once(monkeypatch):
+    # below the guarantee theorem no cover exists, so no attempt is made
+    def attempt(*args):
+        raise AssertionError("an attempt was made on an impossible cell")
+
+    for flavor in ("_attempt_cover", "_attempt_block", "_attempt_stripes"):
+        monkeypatch.setattr(constructions, flavor, attempt)
+    cells = [
+        (n, m, mms)
+        for n in range(1, 11)
+        for m in range(1, n + 2)
+        for mms in range(1, n + 1)
+        if mms + 1 <= guaranteed_p(n, m)
+    ]
+    assert len(cells) > 50
+    for n, m, mms in cells:
+        with pytest.raises(GenerationFailed, match=r"cover exists$"):
+            random_cover(n, m, mms, seed=0)
+
+
 def test_random_cover_rejects_nonpositive():
     with pytest.raises(ValueError):
         random_cover(0, 1, 1, seed=0)
@@ -256,6 +280,41 @@ def test_block_circulant_stripes_then_circulant(n, m, p, count):
     cover = construct_block_circulant(n, m, p)
     assert len(cover.rectangles) == count
     assert [r.color for r in cover.rectangles] == list(range(count))
+
+
+# sha256 over the JSON objects of every block-circulant cover with n <= 24,
+# m <= n+1 and guaranteed_p(n, m) < p <= n+1, in that order
+BLOCK_CIRCULANT_DIGEST = "4440c2cb919a28ef99ed3b91655eda4101f48865b08743d84dda2ac92409e265"
+
+
+def test_block_circulant_pinned():
+    digest = hashlib.sha256()
+    for n in range(1, 25):
+        for m in range(1, n + 2):
+            for p in range(guaranteed_p(n, m) + 1, n + 2):
+                obj = cover_to_obj(construct_block_circulant(n, m, p))
+                digest.update(json.dumps(obj).encode() + b";")
+    assert digest.hexdigest() == BLOCK_CIRCULANT_DIGEST
+
+
+@pytest.mark.parametrize("n, m, p", [(1, 1, 2), (6, 3, 3), (6, 2, 4), (9, 9, 2), (24, 5, 6)])
+def test_block_circulant_stripes_share_one_column_set(n, m, p):
+    rects = construct_block_circulant(n, m, p).rectangles
+    assert len(rects) <= m  # N <= m: the stripes case
+    assert rects[0].cols == frozenset(range(n))
+    assert all(rect.cols is rects[0].cols for rect in rects)
+
+
+def test_block_circulant_stripes_memory_peak():
+    # 1000 stripes of one row each over one shared column set of 1000
+    # indices, not 1000 copies of it (about 32 MB)
+    tracemalloc.start()
+    try:
+        construct_block_circulant(1000, 1000, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_block_circulant_refuses_guaranteed_cells():
