@@ -65,14 +65,6 @@ def _collected(values: Iterable[int]) -> Collection[int]:
     return values if hasattr(values, "__len__") else tuple(values)
 
 
-def _check_merged(kept: frozenset[int], raw: Collection[int]) -> None:
-    """Refuse a bool a set merged away: ``True == 1``, so the set of ``[1,
-    True]`` keeps the 1 alone; when ``kept`` holds fewer members than
-    ``raw``, ``raw`` itself is checked."""
-    if len(kept) < len(raw):
-        check_ints(INDICES, *raw)
-
-
 def _row_objects(cells: tuple[tuple[int, ...], ...]) -> dict[int, tuple[int, ...]]:
     """Each row object of ``cells`` once, keyed by identity, in first-seen
     order.  A matrix whose rows repeat (mod-m, or parsed from text) shares
@@ -123,19 +115,17 @@ class Rectangle:
     cols: frozenset[int]
 
     def __post_init__(self):
-        rows, cols = self.rows, self.cols
-        if type(rows) is not frozenset:
-            rows = _collected(rows)
-            object.__setattr__(self, "rows", frozenset(rows))
-        if type(cols) is not frozenset:
-            cols = _collected(cols)
-            object.__setattr__(self, "cols", frozenset(cols))
+        # frozen first, so a side that is not a collection of hashables fails
+        # before the color; checked as given, since a set merges True into 1
+        # and orders strings by hash (frozenset() returns a frozenset as is)
+        rows = _collected(self.rows)
+        object.__setattr__(self, "rows", frozenset(rows))
+        cols = _collected(self.cols)
+        object.__setattr__(self, "cols", frozenset(cols))
         check_ints(COLOR_IDS, self.color)
-        if not self.rows or not self.cols:
+        if not rows or not cols:
             raise ValueError("rectangle sides must be nonempty")
-        check_ints(INDICES, *self.rows, *self.cols)
-        _check_merged(self.rows, rows)
-        _check_merged(self.cols, cols)
+        check_ints(INDICES, *rows, *cols)
 
     @property
     def min_side(self) -> int:
@@ -404,17 +394,14 @@ class CliqueFamily:
             if color in seen:
                 raise ValueError(f"duplicate color {color}")
             seen.add(color)
-            if type(vertices) is not frozenset:
-                raw = _collected(vertices)
-                vertices = frozenset(raw)
-                _check_merged(vertices, raw)
+            vertices = _collected(vertices)  # checked as given, as a Rectangle side
+            frozen = frozenset(vertices)
             if not vertices:
                 raise ValueError(f"clique for color {color} is empty")
-            out_of_range = f"clique for color {color} has out-of-range vertices"
-            check_ints(out_of_range, *vertices)
-            if max(vertices) >= self.n_vertices:
-                raise ValueError(out_of_range)
-            canon.append((color, vertices))
+            check_ints(INDICES, *vertices)
+            if max(frozen) >= self.n_vertices:
+                raise ValueError(f"clique for color {color} has out-of-range vertices")
+            canon.append((color, frozen))
         canon.sort(key=lambda e: e[0])
         object.__setattr__(self, "cliques", tuple(canon))
 
@@ -589,6 +576,8 @@ def _first_gap(
     """First cell of rows x cols, row-major in the order given, that no
     rectangle in ``rects`` covers; None if every cell is covered.  ``cols``
     must be ascending, so a row's first gap is its lowest missing bit.
+    When ``cols`` is a range from 0, that bit is read off the row's mask
+    alone, so a declared width costs nothing until a rectangle reaches it.
 
     Each distinct column set becomes a bitmask once (:func:`_bitmask`):
     rectangles often share one (the k = 7 recursive cover's 8,192
@@ -603,7 +592,14 @@ def _first_gap(
             col_mask = col_masks[rect.cols] = _bitmask(rect.cols)
         for r in rect.rows:
             masks[r] = masks.get(r, 0) | col_mask
-    want = (1 << len(cols)) - 1 if cols == range(len(cols)) else _bitmask(cols)
+    if isinstance(cols, range) and cols.start == 0 and cols.step == 1:
+        for r in rows:
+            mask = masks.get(r, 0)
+            col = (~mask & (mask + 1)).bit_length() - 1  # its lowest unset bit
+            if col < cols.stop:
+                return r, col
+        return None
+    want = _bitmask(cols)
     for r in rows:
         gap = want & ~masks.get(r, 0)
         if gap:

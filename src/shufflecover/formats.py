@@ -238,6 +238,8 @@ def load_instance(text: str):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError("JSON nested deeper than the interpreter allows") from exc
     if not isinstance(obj, dict):
         raise FormatError("JSON input must be an object: a cover, k-partite cover, or clique family")
     for key, load in _LOADERS:

@@ -286,7 +286,7 @@ BAD_INPUTS = [
     (
         {"n_vertices": 2, "cliques": [{"color": 0, "vertices": [True]}]},
         ["superimposed", "--t", "1"],
-        "bad clique family: clique for color 0 has out-of-range vertices",
+        "bad clique family: indices must be non-negative integers, got True",
     ),
     (
         {"n_vertices": 2.5, "cliques": [{"color": 0, "vertices": [0]}]},
@@ -362,6 +362,57 @@ def test_non_integer_ids_and_sizes_are_data_errors(monkeypatch, capsys, obj, arg
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"input error: {message}\n"
+
+
+def test_a_bad_index_is_named_in_input_order_under_any_hash_seed(tmp_path):
+    # a set orders strings by their hash, which differs per process; the
+    # first bad index as given is named, so every seed prints one line
+    path = tmp_path / "strings.json"
+    rect = {"color": 0, "rows": ["a", "b", "c"], "cols": [0]}
+    path.write_text(json.dumps({"n_rows": 2, "n_cols": 2, "rectangles": [rect]}))
+    errs = set()
+    for seed in ("1", "2", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "shufflecover", "validate", "--in", str(path)],
+            env=dict(CHILD_ENV, PYTHONHASHSEED=seed), capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (65, ""), proc.stderr
+        errs.add(proc.stderr)
+    assert errs == {"input error: bad rectangle: indices must be non-negative integers, got 'a'\n"}
+
+
+@pytest.mark.parametrize("text", ["[" * 200_000, '{"a":' * 200_000], ids=["arrays", "objects"])
+@pytest.mark.parametrize("argv", [["validate"], ["detect", "--p", "2"], ["superimposed", "--t", "1"]])
+def test_json_nested_too_deep_is_a_data_error(monkeypatch, capsys, text, argv):
+    feed(monkeypatch, text)
+    assert run(argv) == 65
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: JSON nested deeper than the interpreter allows\n"
+
+
+def _capped_memory() -> None:
+    """Run in a child before it starts: 1.5 GB of address space at most."""
+    import resource
+
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = 1_500_000_000 if hard == resource.RLIM_INFINITY else min(hard, 1_500_000_000)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="no address-space limit to set")
+@pytest.mark.parametrize("n_cols", [10**11, 10**30])
+def test_a_declared_grid_costs_nothing_until_a_rectangle_reaches_it(tmp_path, n_cols):
+    # a mask of every column would take 12.5 GB at 10**11 and cannot be
+    # built at 10**30; the first gap is found without one, in capped memory
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n_rows": 1, "n_cols": n_cols, "rectangles": []}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shufflecover", "validate", "--in", str(path)],
+        env=CHILD_ENV, capture_output=True, text=True, timeout=60, preexec_fn=_capped_memory,
+    )
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert proc.stdout == '{"kind": "coverage", "row": 0, "col": 0}\n'
 
 
 @pytest.mark.parametrize("bad", ["-1", "2.5", "True"])

@@ -148,9 +148,12 @@ def test_a_value_a_set_merges_away_is_still_refused(side, bad, given_as):
         with pytest.raises(ValueError) as exc:
             Rectangle(color=0, rows=rows, cols=cols)
         assert str(exc.value) == message
-    with pytest.raises(ValueError) as exc:
-        CliqueFamily(4, ((0, given_as(side)),))
-    assert str(exc.value) == message
+    # a clique vertex is named the same way, whether a set would merge it
+    # away or keep it
+    for vertices in (side, [bad]):
+        with pytest.raises(ValueError) as exc:
+            CliqueFamily(4, ((0, given_as(vertices)),))
+        assert str(exc.value) == message
 
 
 def test_repeated_indices_merge_without_complaint():
@@ -438,6 +441,17 @@ def reference_gap(rows, cols, rects):
     return None
 
 
+def whole_width_gap(rows, cols, rects):
+    """First gap as a mask of every column finds it: the lowest bit of
+    ``(1 << len(cols)) - 1`` that no rectangle on the row sets."""
+    want = (1 << len(cols)) - 1
+    for r in rows:
+        gap = want & ~sum({1 << c for rect in rects if r in rect.rows for c in rect.cols})
+        if gap:
+            return r, (gap & -gap).bit_length() - 1
+    return None
+
+
 @st.composite
 def column_sides(draw, n, pool):
     """A column side over range(n): one of the ``pool`` sets itself (an
@@ -475,8 +489,12 @@ def partial_covers(draw):
 @settings(max_examples=300, deadline=None)
 @given(partial_covers())
 def test_check_coverage_matches_per_cell_reference(cover):
-    gap = reference_gap(range(cover.n_rows), range(cover.n_cols), cover.rectangles)
+    rows, cols = range(cover.n_rows), range(cover.n_cols)
+    gap = reference_gap(rows, cols, cover.rectangles)
     assert check_coverage(cover) == (None if gap is None else CoverageViolation(*gap))
+    # a range of columns from 0 reads each row's lowest unset bit, with no
+    # mask of the whole width; every answer is the one that mask gives
+    assert _first_gap(rows, cols, cover.rectangles) == whole_width_gap(rows, cols, cover.rectangles)
 
 
 @settings(max_examples=200, deadline=None)
@@ -494,6 +512,17 @@ def test_first_gap_matches_reference_on_wide_column_sets(data):
         assert _bitmask(rect.cols) == sum(1 << c for c in rect.cols)
     for cols in (range(n_cols), sorted(data.draw(sides))):
         assert _first_gap(range(3), cols, rects) == reference_gap(range(3), cols, rects)
+
+
+def test_a_declared_width_costs_nothing_until_a_rectangle_reaches_it():
+    # no int of 10**30 bits can be built (test_cli runs 10**11 columns, a
+    # 12.5 GB mask, in a child with capped memory)
+    width = 10**30
+    assert check_coverage(RectangleCover(1, width, ())) == CoverageViolation(0, 0)
+    rect = Rectangle(color=0, rows=[0], cols=[0, 1])
+    assert check_coverage(RectangleCover(1, width, (rect,))) == CoverageViolation(0, 2)
+    assert check_kpartite_coverage(KPartiteCover(2, width, ())) == KPartiteCoverageViolation(
+        part_a=0, part_b=1, row=0, col=0)
 
 
 @st.composite
@@ -576,6 +605,9 @@ def reference_kpartite_gap(cover):
 @given(kpartite_covers())
 def test_kpartite_scans_match_per_cell_reference(cover):
     assert validate_kpartite(cover) == reference_kpartite_violation(cover)
+    for _, _, rects in cover.pairs:
+        part = range(cover.n)
+        assert _first_gap(part, part, rects) == whole_width_gap(part, part, rects)
     assert check_kpartite_coverage(cover) == reference_kpartite_gap(cover)
     assert cover.colors() == reference_colors(cover)
     for color in range(6):  # colors 5 and up touch nothing
